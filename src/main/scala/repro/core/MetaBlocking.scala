@@ -83,10 +83,13 @@ object MetaBlocking {
     weighted.select(col("p1"), col("p2"), col("weight").cast("double"))
   }
 
-  /** Weighted Edge Pruning: keep edges with weight ≥ factor · global mean. */
+  /** Weighted Edge Pruning: keep edges with weight ≥ factor · global mean.
+    * An empty edge set has no mean (`avg` is NULL) and yields no edges.
+    */
   def wep(edges: DataFrame, factor: Double = 1.0): DataFrame = {
-    val mean = edges.agg(avg("weight")).first().getDouble(0)
-    edges.where(col("weight") >= lit(factor * mean))
+    val mean = edges.agg(avg("weight")).first()
+    if (mean.isNullAt(0)) edges.limit(0)
+    else edges.where(col("weight") >= lit(factor * mean.getDouble(0)))
   }
 
   /** Per-node thresholds over the edge list: (node, theta). */

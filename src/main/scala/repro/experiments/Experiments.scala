@@ -222,7 +222,6 @@ object Experiments {
     val n = ds.profiles.count()
     val noPrune = cfg.copy(pruning = PruningStrategy.NoPruning)
     val b = SparkERPipeline.blocker(ds.profiles, noPrune)
-    b.assignments.count() // materialize cache so both variants time only MB
     val (cDf, msDf) = timed {
       repro.core.MetaBlocking
         .wnp(

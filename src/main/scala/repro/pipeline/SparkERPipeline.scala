@@ -10,6 +10,22 @@ import repro.matching.{EntityMatcher, Similarity}
 /** End-to-end SparkER pipeline (Fig 3): Blocker → Entity Matcher → Entity
   * Clusterer, each module a black box over DataFrames, with every knob of
   * the demo's supervised mode surfaced in [[SparkERConfig]].
+  *
+  * Materialisation rule: every stage output that is read more than once
+  * downstream is computed exactly once, with an eager `localCheckpoint()`.
+  * These are the KV table, the raw token-blocking assignments, the purged
+  * and filtered assignments (each stage joins its input with an aggregate
+  * over it), the valid `assignments`, the weighted `edges` when
+  * meta-blocking runs (pruning reads them up to three times), the
+  * `candidates` and the `matches`. A checkpoint cuts the lineage, so each
+  * later query plans one `LogicalRDD` leaf. `cache()` is not used: a cached
+  * relation keeps its whole source plan, so every later query re-plans and
+  * re-describes the nested tree below it, and the entries stay in the
+  * session's cache manager after the call returns. The cost is the one
+  * [[repro.clustering.ConnectedComponents]] already pays per round: local
+  * checkpoints sit in executor memory and disk, are not fault tolerant (a
+  * lost executor loses them, and queries over them fail), and Spark's
+  * context cleaner frees them only once no live DataFrame refers to them.
   */
 object SparkERPipeline {
 
@@ -67,7 +83,7 @@ object SparkERPipeline {
     */
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession
-    val kv = Profiles.toKV(profiles).cache()
+    val kv = Profiles.toKV(profiles).localCheckpoint()
 
     val (clustersDf, raw) = cfg.schemaMode match {
       case SchemaMode.Agnostic =>
@@ -81,17 +97,20 @@ object SparkERPipeline {
     }
 
     val totalProfiles = profiles.count()
-    val purged = BlockPurging.purge(raw, totalProfiles, cfg.purgeFactor)
-    val filtered = BlockFiltering.filter(purged, cfg.filterRatio)
-    val assignments = TokenBlocking.validBlocks(filtered, cfg.mode).cache()
+    val purged = BlockPurging
+      .purge(raw.localCheckpoint(), totalProfiles, cfg.purgeFactor)
+      .localCheckpoint()
+    val filtered = BlockFiltering.filter(purged, cfg.filterRatio).localCheckpoint()
+    val assignments = TokenBlocking.validBlocks(filtered, cfg.mode).localCheckpoint()
     val nBlocks = assignments.select("key").distinct().count()
 
     val candidates = cfg.pruning match {
       case PruningStrategy.NoPruning =>
         TokenBlocking.comparisons(assignments, cfg.mode)
       case p =>
-        val edges =
-          MetaBlocking.edges(assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy)
+        val edges = MetaBlocking
+          .edges(assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy)
+          .localCheckpoint()
         (p match {
           case PruningStrategy.Wep(f) => MetaBlocking.wep(edges, f)
           case PruningStrategy.Wnp(kind, combine) => MetaBlocking.wnp(edges, kind, combine)
@@ -100,7 +119,7 @@ object SparkERPipeline {
           case PruningStrategy.NoPruning => edges // unreachable
         }).select("p1", "p2")
     }
-    BlockerResult(clustersDf, assignments, candidates.cache(), nBlocks)
+    BlockerResult(clustersDf, assignments, candidates.localCheckpoint(), nBlocks)
   }
 
   /** Full stack: blocker → matcher → clusterer. */
@@ -108,7 +127,7 @@ object SparkERPipeline {
     val b = blocker(profiles, cfg)
     val m = EntityMatcher
       .matches(b.candidates, profiles, cfg.matcherScheme, cfg.matcherThreshold)
-      .cache()
+      .localCheckpoint()
     val c = EntityClusterer.cluster(m, profiles)
     PipelineResult(b, m, c)
   }

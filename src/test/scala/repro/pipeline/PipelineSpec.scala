@@ -1,6 +1,11 @@
 package repro.pipeline
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.LogicalRDD
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
+import repro.core.{Profile, Profiles}
 import repro.core.MetaBlocking.{NodeCombine, ThresholdKind}
 import repro.data.ERData
 import repro.eval.Metrics
@@ -109,6 +114,42 @@ class PipelineSpec extends SparkSpec {
     val wep = SparkERPipeline.blocker(ds.profiles,
       SparkERConfig(pruning = PruningStrategy.Wep()))
     assert(wep.candidates.count() < loose.candidates.count())
+  }
+
+  test("blocker and run leave no cached plan behind; reused outputs are checkpoints") {
+    val cacheManager = spark.sharedState.cacheManager
+    def usesCache(df: DataFrame) =
+      df.queryExecution.withCachedData.exists(_.isInstanceOf[InMemoryRelation])
+    def isCheckpoint(df: DataFrame) = df.queryExecution.analyzed.isInstanceOf[LogicalRDD]
+    // Other suites share the session and may have cached their own inputs.
+    spark.catalog.clearCache()
+
+    val b = SparkERPipeline.blocker(ds.profiles,
+      SparkERConfig(schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning))
+    assert(cacheManager.isEmpty)
+    val r = SparkERPipeline.run(ds.profiles, SparkERConfig(
+      schemaMode = SchemaMode.Loose(AttributePartitioner.Params(threshold = 0.3)),
+      pruning = PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg)))
+    assert(cacheManager.isEmpty)
+
+    val returned = Seq(b.assignments, b.candidates, r.blocker.assignments,
+      r.blocker.candidates, r.matches, r.clusters) ++ r.blocker.clusters
+    returned.foreach(df => assert(!usesCache(df), df.queryExecution.withCachedData))
+    Seq(b.assignments, b.candidates, r.blocker.assignments, r.blocker.candidates, r.matches)
+      .foreach(df => assert(isCheckpoint(df), df.queryExecution.analyzed))
+  }
+
+  test("WEP on an empty edge set gives no candidates or matches and singleton clusters") {
+    val wep = SparkERConfig(pruning = PruningStrategy.Wep())
+    val empty = Profiles.fromSeq(spark, Seq.empty[Profile])
+    val allPurged = wep.copy(purgeFactor = 1e-6) // every block exceeds the purge limit
+    for ((profiles, cfg) <- Seq(empty -> wep, ds.profiles -> allPurged)) {
+      val res = SparkERPipeline.run(profiles, cfg)
+      assert(res.blocker.candidates.isEmpty)
+      assert(res.matches.isEmpty)
+      assert(res.clusters.count() == profiles.count())
+      assert(res.clusters.where(col("entityId") =!= col("pid")).isEmpty)
+    }
   }
 
   test("dirty-mode pipeline runs") {
