@@ -7,6 +7,12 @@ import repro.core.Profile
 /** Entity Clusterer (§2.2, Fig 5): similarity graph → connected components
   * → entity generation. Profiles with no matching pair become singleton
   * entities. Entity ids are the minimum profile id of the cluster.
+  *
+  * A match graph of at most [[ConnectedComponents.DriverEdgeBound]] edges
+  * is closed on the driver (its memory cost is on [[ConnectedComponents]])
+  * and its labels reach the join below as a broadcast local table, so the
+  * profile ids are not shuffled. Larger graphs fall back to distributed
+  * label propagation, and the join shuffles both sides.
   */
 object EntityClusterer {
 
@@ -15,19 +21,11 @@ object EntityClusterer {
     * @return (pid, entityId)
     */
   def cluster(matches: DataFrame, profiles: Dataset[Profile]): DataFrame = {
-    val spark = profiles.sparkSession
-    import spark.implicits._
     val comps = ConnectedComponents.run(
       matches.select(col("p1") as "src", col("p2") as "dst"))
-    val allPids = profiles.map(_.id).toDF("pid")
-    allPids
+    profiles
+      .select(col("id") as "pid")
       .join(comps.withColumnRenamed("id", "pid"), Seq("pid"), "left")
       .select(col("pid"), coalesce(col("component"), col("pid")) as "entityId")
   }
-
-  /** Entities as grouped profile-id lists: (entityId, members, size). */
-  def entities(clusters: DataFrame): DataFrame =
-    clusters
-      .groupBy("entityId")
-      .agg(sort_array(collect_list("pid")) as "members", count(lit(1)) as "size")
 }

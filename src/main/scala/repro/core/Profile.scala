@@ -44,13 +44,6 @@ object Profiles {
   def withAttrKey(kv: DataFrame): DataFrame =
     kv.withColumn("attrKey", concat(col("source").cast("string"), lit("::"), col("attr")))
 
-  /** Profile count per source, as a driver-side map. */
-  def countsBySource(profiles: Dataset[Profile]): Map[Int, Long] = {
-    val spark = profiles.sparkSession
-    import spark.implicits._
-    profiles.groupByKey(_.source).count().collect().toMap
-  }
-
   /** Parallelize a driver-side profile list (synthetic data is small). */
   def fromSeq(spark: SparkSession, ps: Seq[Profile], partitions: Int = 0): Dataset[Profile] = {
     import spark.implicits._

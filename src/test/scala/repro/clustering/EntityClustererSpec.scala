@@ -1,5 +1,6 @@
 package repro.clustering
 
+import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
 import repro.SparkSpec
 import repro.core.{Profile, Profiles}
 
@@ -41,14 +42,10 @@ class EntityClustererSpec extends SparkSpec {
     assert(clusters == Map(1L -> 1L, 2L -> 2L, 3L -> 3L, 4L -> 4L, 5L -> 5L))
   }
 
-  test("entities aggregates members and sizes") {
-    val matches = Seq((1L, 3L), (2L, 4L)).toDF("p1", "p2")
-    val ents = EntityClusterer.entities(EntityClusterer.cluster(matches, profiles))
-      .as[(Long, Seq[Long], Long)].collect()
-      .map { case (e, m, s) => e -> ((m, s)) }.toMap
-    assert(ents(1L) == ((Seq(1L, 3L), 2L)))
-    assert(ents(2L) == ((Seq(2L, 4L), 2L)))
-    assert(ents(5L) == ((Seq(5L), 1L)))
+  test("labels closed on the driver are broadcast to the profile ids, not shuffled with them") {
+    val matches = Seq((1L, 3L)).toDF("p1", "p2")
+    val plan = EntityClusterer.cluster(matches, profiles).queryExecution.sparkPlan
+    assert(plan.collectFirst { case j: BroadcastHashJoinExec => j }.nonEmpty, plan.toString)
   }
 
   test("matches with score column are accepted") {

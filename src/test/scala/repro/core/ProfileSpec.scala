@@ -29,10 +29,6 @@ class ProfileSpec extends SparkSpec {
     assert(keys == Set("1::name", "1::authors", "1::abstract", "2::title", "2::author"))
   }
 
-  test("countsBySource") {
-    assert(Profiles.countsBySource(ds) == Map(1 -> 2L, 2 -> 2L))
-  }
-
   test("fromSeq respects partitions hint") {
     val p = Profiles.fromSeq(spark, (1 to 20).map(i => Profile(i, 1, Map("a" -> "x"))), 4)
     assert(p.rdd.getNumPartitions == 4)

@@ -37,6 +37,16 @@ class UnionFindSpec extends AnyFunSuite {
     assert(uf.components.values.count(_.size > 1) == 1)
   }
 
+  test("a 100k-node chain closes into one component") {
+    val uf = new UnionFind[Int]
+    val n = 100000
+    (1 until n).foreach(i => uf.union(i, i - 1))
+    val comps = uf.components
+    assert(comps.size == 1)
+    assert(comps.values.head == (0 until n).toSet)
+    assert(uf.find(0) == n - 1, "union keeps the first argument's root")
+  }
+
   test("large random closure matches reference partition") {
     val rnd = new scala.util.Random(5)
     val uf = new UnionFind[Int]

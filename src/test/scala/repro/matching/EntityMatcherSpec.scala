@@ -54,6 +54,24 @@ class EntityMatcherSpec extends SparkSpec {
     assert(lev == 1.0)
   }
 
+  test("scorePairs equals Similarity.score on the two profile texts, for every candidate and scheme") {
+    import repro.pipeline.SparkERPipeline
+    import repro.pipeline.SparkERPipeline._
+    val ds = repro.data.ERData.abtBuy(spark, nShared = 30, nOnlyA = 3, nOnlyB = 3)
+    val cands = SparkERPipeline.blocker(ds.profiles,
+      SparkERConfig(schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning)).candidates
+    val pairs = cands.as[(Long, Long)].collect().toSet
+    val texts = EntityMatcher.profileText(ds.profiles).as[(Long, String)].collect().toMap
+    for (scheme <- Seq(Similarity.Scheme.JaccardTokens, Similarity.Scheme.CosineTF,
+        Similarity.Scheme.NormalizedLevenshtein)) {
+      val scored = EntityMatcher.scorePairs(cands, ds.profiles, scheme)
+        .as[(Long, Long, Double)].collect()
+      assert(scored.length == pairs.size && scored.map(r => (r._1, r._2)).toSet == pairs)
+      for ((p1, p2, s) <- scored)
+        assert(s == Similarity.score(scheme, texts(p1), texts(p2)), s"$scheme ($p1, $p2)")
+    }
+  }
+
   test("scores are in [0,1] over ER candidates") {
     val ds = repro.data.ERData.abtBuy(spark, nShared = 30, nOnlyA = 3, nOnlyB = 3)
     val cands = ds.groundTruth.select(

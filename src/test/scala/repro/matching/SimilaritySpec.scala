@@ -10,6 +10,38 @@ class SimilaritySpec extends AnyFunSuite with Props {
   private val word = Gen.nonEmptyListOf(Gen.alphaLowerChar).map(_.mkString)
   private val text = Gen.listOf(word).map(_.mkString(" "))
 
+  private def jaccardTokens(a: String, b: String) = score(Scheme.JaccardTokens, a, b)
+  private def cosineTF(a: String, b: String) = score(Scheme.CosineTF, a, b)
+
+  private val schemes =
+    Seq(Scheme.JaccardTokens, Scheme.CosineTF, Scheme.NormalizedLevenshtein)
+
+  /** Texts drawn from a small pool of tokens, so pairs share tokens and
+    * repeat them, with mixed case, non-ASCII letters and digits (one
+    * outside the BMP), and separators that are punctuation or nothing.
+    */
+  private val messyText: Gen[String] = {
+    val token = Gen.oneOf("a", "b", "ab", "AB", "x5", "5", "é", "É", "straße", "日本",
+      "٣٤", "Ⅻ", "İ", "\uD835\uDC00", "sony", "tv")
+    val sep = Gen.oneOf(" ", "  ", "-", ", ", "!?", "\t", "…", "")
+    Gen.listOf(Gen.oneOf(token, sep)).map(_.mkString)
+  }
+
+  /** Arbitrary characters (no lone surrogates), mostly not tokens at all. */
+  private val anyText: Gen[String] = Gen.listOf(Gen.oneOf(
+    org.scalacheck.Arbitrary.arbitrary[Char], Gen.oneOf(" .,;:-/()".toSeq))).map(_.mkString)
+
+  test("property: score equals the set/map reference for every scheme, bit for bit") {
+    val edge = Seq("", " ", "...", "-- !", "a", "a a", "A a", "ab ab ab b", "日本 日本", "٣٤")
+    for (scheme <- schemes; a <- edge; b <- edge)
+      assert(score(scheme, a, b) == SimilarityReference.score(scheme, a, b), s"$scheme '$a' '$b'")
+    val gen = Gen.oneOf(messyText, anyText, text)
+    forAllG2(gen, gen, n = 500) { (a, b) =>
+      for (scheme <- schemes)
+        assert(score(scheme, a, b) == SimilarityReference.score(scheme, a, b), scheme.toString)
+    }
+  }
+
   // ---- Jaccard ----
 
   test("jaccard of identical token bags is 1") {
