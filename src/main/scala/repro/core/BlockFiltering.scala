@@ -10,7 +10,8 @@ import org.apache.spark.sql.functions._
   *
   * For each profile, its blocks are ranked by size ascending and only the
   * smallest `ceil(ratio · #blocks)` memberships are kept (ratio = 0.8 ⇒
-  * the largest 20% are dropped). Ties break on key for determinism.
+  * the largest 20% are dropped). Ties break on key for determinism. Block
+  * sizes come from [[TokenBlocking.blockStats]].
   */
 object BlockFiltering {
 
@@ -18,7 +19,7 @@ object BlockFiltering {
 
   def filter(assignments: DataFrame, ratio: Double = DefaultRatio): DataFrame = {
     require(ratio > 0 && ratio <= 1, s"ratio must be in (0,1], got $ratio")
-    val sizes = assignments.groupBy("key").agg(countDistinct("pid") as "blockSize")
+    val sizes = TokenBlocking.blockStats(assignments).select(col("key"), col("size") as "blockSize")
     val withSize = assignments.join(sizes, "key")
     val byProfile = Window.partitionBy("pid").orderBy(col("blockSize").asc, col("key").asc)
     withSize

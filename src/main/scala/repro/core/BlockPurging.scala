@@ -9,7 +9,8 @@ import org.apache.spark.sql.functions._
   *
   * `maxFraction` generalizes the paper's 1/2; the comparison is strict
   * (`size > maxFraction·|P|`), so at the default a block holding exactly
-  * half the profiles survives.
+  * half the profiles survives. Block sizes come from
+  * [[TokenBlocking.blockStats]].
   */
 object BlockPurging {
 
@@ -21,11 +22,7 @@ object BlockPurging {
       maxFraction: Double = DefaultMaxFraction): DataFrame = {
     require(maxFraction > 0, s"maxFraction must be positive, got $maxFraction")
     val limit = maxFraction * totalProfiles
-    val keep = assignments
-      .groupBy("key")
-      .agg(countDistinct("pid") as "size")
-      .where(col("size") <= limit)
-      .select("key")
+    val keep = TokenBlocking.blockStats(assignments).where(col("size") <= limit).select("key")
     assignments.join(keep, "key")
   }
 }

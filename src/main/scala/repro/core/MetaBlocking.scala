@@ -56,14 +56,9 @@ object MetaBlocking {
       mode: ERMode,
       scheme: WeightScheme = WeightScheme.CBS,
       useEntropy: Boolean = false): DataFrame = {
-    val a = assignments.select(
-      col("key"), col("pid") as "p1", col("source") as "s1", col("entropy"))
-    val b = assignments.select(col("key") as "key2", col("pid") as "p2", col("source") as "s2")
-    val joined = a.join(b, col("key") === col("key2"))
-    val pairs = (mode match {
-      case ERMode.CleanClean => joined.where(col("s1") === 1 && col("s2") =!= 1)
-      case ERMode.Dirty => joined.where(col("p1") < col("p2"))
-    }).groupBy("p1", "p2")
+    val pairs = TokenBlocking
+      .blockPairs(assignments, mode)
+      .groupBy("p1", "p2")
       .agg(count(lit(1)) as "cbs", sum("entropy") as "entSum")
 
     val weighted = scheme match {

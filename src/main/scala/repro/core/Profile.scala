@@ -40,6 +40,34 @@ object Profiles {
       .toDF("pid", "source", "attr", "value")
   }
 
+  /** Checks the input contract the blocker relies on and counts the
+    * profiles, in one Spark job. Profile ids must be unique: block
+    * statistics count assignment rows, and a repeated id would also pair a
+    * profile with itself. In clean-clean ER every source must be 1 or 2,
+    * since comparisons only pair source 1 with the other side.
+    *
+    * @return the number of profiles
+    */
+  def validate(profiles: Dataset[Profile], mode: ERMode): Long = {
+    import profiles.sparkSession.implicits._
+    // (profiles, a repeated id, a disallowed source). An RDD action, so the
+    // shuffle by id and the fold run as one job; a DataFrame aggregate runs
+    // each shuffle stage as a job of its own under adaptive query execution.
+    type Summary = (Long, Option[Long], Option[Int])
+    def merge(a: Summary, b: Summary): Summary = (a._1 + b._1, a._2.orElse(b._2), a._3.orElse(b._3))
+    val (n, repeated, foreign) = profiles
+      .select("id", "source").as[(Long, Int)].rdd
+      .map { case (id, s) =>
+        id -> ((1L, None, Option.unless(mode == ERMode.Dirty || s == 1 || s == 2)(s)): Summary)
+      }
+      .reduceByKey(merge _)
+      .map { case (id, (k, _, f)) => (k, Option.when(k > 1)(id), f): Summary }
+      .fold((0L, None, None))(merge)
+    require(repeated.isEmpty, s"profile ids must be unique; id ${repeated.get} appears more than once")
+    require(foreign.isEmpty, s"clean-clean ER takes sources 1 and 2 only; found source ${foreign.get}")
+    n
+  }
+
   /** Qualified attribute key "source::attr" used by attribute partitioning. */
   def withAttrKey(kv: DataFrame): DataFrame =
     kv.withColumn("attrKey", concat(col("source").cast("string"), lit("::"), col("attr")))

@@ -16,18 +16,27 @@ import org.apache.spark.sql.functions._
   *
   * A *block* is the group of rows sharing `key`. Purging/filtering/
   * meta-blocking all consume and produce this shape, so stages compose.
+  *
+  * Invariant: assignment rows are distinct per `(key, pid)`. Both blocking
+  * functions end in `distinct()`, a loose key `token#cluster` fixes the
+  * cluster and so the entropy, and the source follows from the pid because
+  * ids are unique ([[Profiles.validate]]). Later stages only drop rows, so
+  * the invariant holds for their outputs too. It is what lets the block
+  * statistics use plain counts.
+  *
+  * The blocker reads each block fact from one helper here: the per-block
+  * sizes from [[blockStats]] (purging, filtering and [[validBlocks]]) and
+  * the member pairs of each block from `blockPairs` ([[comparisons]] and
+  * [[MetaBlocking.edges]]).
   */
 object TokenBlocking {
-
-  private def tokensUdf(minLength: Int) =
-    udf((v: String) => Tokenizer.tokenSet(v, minLength).toSeq)
 
   /** Schema-agnostic token blocking: every token of every attribute is a
     * blocking key, schema information ignored (§1).
     */
   def schemaAgnostic(kv: DataFrame, minTokenLength: Int = Tokenizer.DefaultMinLength): DataFrame =
     kv.select(
-        explode(tokensUdf(minTokenLength)(col("value"))) as "key",
+        Tokenizer.explodeTokens(col("value"), minTokenLength) as "key",
         lit(0) as "cluster",
         lit(1.0) as "entropy",
         col("pid"),
@@ -50,7 +59,7 @@ object TokenBlocking {
       .withAttrKey(kv)
       .join(broadcast(clusters), "attrKey")
       .select(
-        explode(tokensUdf(minTokenLength)(col("value"))) as "token",
+        Tokenizer.explodeTokens(col("value"), minTokenLength) as "token",
         col("cluster"),
         col("entropy"),
         col("pid"),
@@ -63,50 +72,48 @@ object TokenBlocking {
         col("source"))
       .distinct()
 
+  /** Per-block statistics `(key, size, nA, nB)`: members, members from
+    * source 1 and members from any other source. Plain counts, which equal
+    * distinct-pid counts by the `(key, pid)` invariant.
+    */
+  def blockStats(assignments: DataFrame): DataFrame =
+    assignments
+      .groupBy("key")
+      .agg(
+        count(lit(1)) as "size",
+        count(when(col("source") === 1, lit(1))) as "nA",
+        count(when(col("source") =!= 1, lit(1))) as "nB")
+
   /** Drop blocks that cannot generate a comparison: singletons, and (in
     * clean-clean ER) blocks whose members all come from one source.
     */
   def validBlocks(assignments: DataFrame, mode: ERMode): DataFrame = {
-    val stats = mode match {
-      case ERMode.CleanClean =>
-        assignments
-          .groupBy("key")
-          .agg(
-            countDistinct(when(col("source") === 1, col("pid"))) as "nA",
-            countDistinct(when(col("source") =!= 1, col("pid"))) as "nB")
-          .where(col("nA") > 0 && col("nB") > 0)
-      case ERMode.Dirty =>
-        assignments.groupBy("key").agg(countDistinct("pid") as "n").where(col("n") >= 2)
+    val valid = mode match {
+      case ERMode.CleanClean => col("nA") > 0 && col("nB") > 0
+      case ERMode.Dirty => col("size") >= 2
     }
-    assignments.join(stats.select("key"), "key")
+    assignments.join(blockStats(assignments).where(valid).select("key"), "key")
   }
 
-  /** Per-block statistics: members per source and comparison cardinality. */
-  def blockStats(assignments: DataFrame, mode: ERMode): DataFrame = {
-    val base = assignments
-      .groupBy("key")
-      .agg(
-        countDistinct("pid") as "size",
-        countDistinct(when(col("source") === 1, col("pid"))) as "nA",
-        countDistinct(when(col("source") =!= 1, col("pid"))) as "nB")
-    mode match {
-      case ERMode.CleanClean => base.withColumn("comparisons", col("nA") * col("nB"))
-      case ERMode.Dirty =>
-        base.withColumn("comparisons", (col("size") * (col("size") - 1) / 2).cast("long"))
-    }
-  }
-
-  /** Distinct candidate pairs induced by the block collection.
-    * Clean-clean: (p1 from source 1, p2 from source 2); dirty: p1 < p2.
+  /** Every comparison each block yields, as `(key, p1, p2, entropy)` with
+    * the block's entropy. Clean-clean: p1 from source 1, p2 from another
+    * source; dirty: p1 < p2. A pair shared by several blocks appears once
+    * per block.
     */
-  def comparisons(assignments: DataFrame, mode: ERMode): DataFrame = {
-    val a = assignments.select(col("key"), col("pid") as "p1", col("source") as "s1")
+  private[core] def blockPairs(assignments: DataFrame, mode: ERMode): DataFrame = {
+    val a = assignments.select(
+      col("key"), col("pid") as "p1", col("source") as "s1", col("entropy"))
     val b = assignments.select(col("key") as "key2", col("pid") as "p2", col("source") as "s2")
     val joined = a.join(b, col("key") === col("key2"))
-    val pairs = mode match {
+    (mode match {
       case ERMode.CleanClean => joined.where(col("s1") === 1 && col("s2") =!= 1)
       case ERMode.Dirty => joined.where(col("p1") < col("p2"))
-    }
-    pairs.select("p1", "p2").distinct()
+    }).select("key", "p1", "p2", "entropy")
   }
+
+  /** Distinct candidate pairs `(p1, p2)` induced by the block collection,
+    * oriented as in `blockPairs`.
+    */
+  def comparisons(assignments: DataFrame, mode: ERMode): DataFrame =
+    blockPairs(assignments, mode).select("p1", "p2").distinct()
 }

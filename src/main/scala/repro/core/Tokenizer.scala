@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.{explode, udf}
+
 /** Schema-agnostic tokenization.
   *
   * The blocker treats every profile as a bag of words (§1 of the paper):
@@ -28,4 +31,10 @@ object Tokenizer {
   /** Distinct token set of one value — blocking keys are sets. */
   def tokenSet(value: String, minLength: Int = DefaultMinLength): Set[String] =
     tokenize(value, minLength).toSet
+
+  /** One row per token occurrence of the string column `value`, duplicates
+    * kept. Callers that need token sets follow it with `distinct()`.
+    */
+  def explodeTokens(value: Column, minLength: Int = DefaultMinLength): Column =
+    explode(udf((v: String) => tokenize(v, minLength)).apply(value))
 }

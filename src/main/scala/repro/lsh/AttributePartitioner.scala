@@ -50,8 +50,7 @@ object AttributePartitioner {
     import spark.implicits._
     Profiles
       .withAttrKey(kv)
-      .select(col("attrKey"), explode(udf((v: String) => Tokenizer.tokenSet(v).toSeq)
-        .apply(col("value"))) as "token")
+      .select(col("attrKey"), Tokenizer.explodeTokens(col("value")) as "token")
       .distinct()
       .as[(String, String)]
       .collect()

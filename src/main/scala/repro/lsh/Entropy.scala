@@ -47,7 +47,7 @@ object Entropy {
       .withAttrKey(kv)
       .select(
         clusterOf(col("attrKey")) as "cluster",
-        explode(udf((v: String) => Tokenizer.tokenize(v)).apply(col("value"))) as "token")
+        Tokenizer.explodeTokens(col("value")) as "token")
       .groupBy("cluster", "token")
       .agg(count(lit(1)) as "cnt")
       .as[(Int, String, Long)]

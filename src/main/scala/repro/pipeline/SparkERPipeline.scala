@@ -79,10 +79,12 @@ object SparkERPipeline {
       clusters: DataFrame)
 
   /** Blocker (Fig 4): loose schema generation (optional) → token blocking
-    * → purging → filtering → meta-blocking → candidate pairs.
+    * → purging → filtering → meta-blocking → candidate pairs. The input is
+    * first checked with [[Profiles.validate]], which also counts it.
     */
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession
+    val totalProfiles = Profiles.validate(profiles, cfg.mode)
     val kv = Profiles.toKV(profiles).localCheckpoint()
 
     val (clustersDf, raw) = cfg.schemaMode match {
@@ -96,7 +98,6 @@ object SparkERPipeline {
         (Some(c), TokenBlocking.looseSchema(kv, c, cfg.minTokenLength))
     }
 
-    val totalProfiles = profiles.count()
     val purged = BlockPurging
       .purge(raw.localCheckpoint(), totalProfiles, cfg.purgeFactor)
       .localCheckpoint()

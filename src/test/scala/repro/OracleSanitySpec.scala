@@ -1,38 +1,26 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.core.Profiles
+import repro.data.ERData
 
-/** Sanity checks that the provided DuckDB oracle and TPC-H-lite generator
-  * work in this environment — every blocking-stage oracle test builds on
-  * this plumbing.
+/** Sanity checks that the DuckDB oracle works in this environment — every
+  * blocking-stage oracle test builds on this plumbing.
   */
 class OracleSanitySpec extends SparkSpec {
 
-  test("oracle agrees on a lineitem aggregate at SF=0.001") {
-    val li = repro.SynthData.lineitem(spark, sf = 0.001).cache()
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(
-      agg,
-      "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
+  private lazy val kv = Profiles.toKV(ERData.abtBuy(spark, nShared = 20, nOnlyA = 2, nOnlyB = 2).profiles)
+  private val sql = "SELECT source, attr, COUNT(*) AS cnt FROM kv GROUP BY source, attr"
+
+  test("oracle agrees on a per-attribute count of generated profiles") {
+    val agg = kv.groupBy("source", "attr").agg(count(lit(1)) as "cnt")
+    Oracle.assertEquivalent(agg, sql, "kv" -> kv)
   }
 
   test("oracle catches a wrong result") {
-    val li = repro.SynthData.lineitem(spark, sf = 0.001).cache()
-    val wrong = li.groupBy("l_returnflag")
-      .agg((count(lit(1)) + 1) as "cnt")
+    val wrong = kv.groupBy("source", "attr").agg((count(lit(1)) + 1) as "cnt")
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        wrong,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, sql, "kv" -> kv)
     }
-  }
-
-  test("synthetic generators are deterministic") {
-    val a = repro.SynthData.orders(spark, sf = 0.001).collect()
-    val b = repro.SynthData.orders(spark, sf = 0.001).collect()
-    assert(a.sameElements(b))
   }
 }

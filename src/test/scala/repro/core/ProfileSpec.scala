@@ -34,6 +34,13 @@ class ProfileSpec extends SparkSpec {
     assert(p.rdd.getNumPartitions == 4)
   }
 
+  test("validate counts the profiles; dirty ER accepts any source") {
+    assert(Profiles.validate(ds, ERMode.CleanClean) == 4)
+    assert(Profiles.validate(Profiles.fromSeq(spark, Seq.empty[Profile]), ERMode.CleanClean) == 0)
+    val three = Profiles.fromSeq(spark, (1 to 3).map(i => Profile(i, i, Map("a" -> "x"))))
+    assert(Profiles.validate(three, ERMode.Dirty) == 3)
+  }
+
   test("profile ids survive round trip") {
     import spark.implicits._
     assert(ds.map(_.id).collect().toSet == Set(1L, 2L, 3L, 4L))

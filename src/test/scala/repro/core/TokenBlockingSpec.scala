@@ -101,21 +101,30 @@ class TokenBlockingSpec extends SparkSpec {
     assert(pairs == Set((1L, 2L), (1L, 3L), (1L, 4L), (2L, 3L), (2L, 4L), (3L, 4L)))
   }
 
+  /** Rows of `blockPairs` per block: the comparisons each block yields. */
+  private def pairsPerBlock(mode: ERMode): Map[String, Long] =
+    TokenBlocking.blockPairs(agn, mode).groupBy("key").count()
+      .as[(String, Long)].collect().toMap
+
   test("blockStats computes per-source sizes and comparison counts") {
-    val stats = TokenBlocking.blockStats(agn, ERMode.CleanClean)
-      .select("key", "size", "nA", "nB", "comparisons")
-      .as[(String, Long, Long, Long, Long)].collect()
+    val stats = TokenBlocking.blockStats(agn)
+      .select("key", "size", "nA", "nB")
+      .as[(String, Long, Long, Long)].collect()
       .map(r => r._1 -> r).toMap
-    assert(stats("blast") == (("blast", 3L, 1L, 2L, 2L)))
-    assert(stats("simonini") == (("simonini", 3L, 2L, 1L, 2L)))
-    assert(stats("sparker") == (("sparker", 2L, 1L, 1L, 1L)))
+    assert(stats("blast") == (("blast", 3L, 1L, 2L)))
+    assert(stats("simonini") == (("simonini", 3L, 2L, 1L)))
+    assert(stats("sparker") == (("sparker", 2L, 1L, 1L)))
+    // A clean-clean block yields nA·nB comparisons.
+    assert(pairsPerBlock(ERMode.CleanClean) ==
+      stats.values.collect { case (k, _, a, b) if a * b > 0 => k -> a * b }.toMap)
   }
 
   test("blockStats dirty comparison cardinality is n(n-1)/2") {
-    val stats = TokenBlocking.blockStats(agn, ERMode.Dirty)
-      .select("key", "comparisons").as[(String, Long)].collect().toMap
-    assert(stats("blast") == 3L)
-    assert(stats("sparker") == 1L)
+    val sizes = TokenBlocking.blockStats(agn).select("key", "size").as[(String, Long)].collect()
+    val pairs = pairsPerBlock(ERMode.Dirty)
+    assert(pairs == sizes.collect { case (k, n) if n > 1 => k -> n * (n - 1) / 2 }.toMap)
+    assert(pairs("blast") == 3L)
+    assert(pairs("sparker") == 1L)
   }
 
   test("oracle: block sizes agree with DuckDB") {

@@ -5,7 +5,7 @@ import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.core.{Profile, Profiles}
+import repro.core.{ERMode, Profile, Profiles}
 import repro.core.MetaBlocking.{NodeCombine, ThresholdKind}
 import repro.data.ERData
 import repro.eval.Metrics
@@ -152,11 +152,38 @@ class PipelineSpec extends SparkSpec {
     }
   }
 
+  // For three-profile inputs: factor 1.0 so no block is purged.
+  private val tiny = SparkERConfig(schemaMode = SchemaMode.Agnostic,
+    pruning = PruningStrategy.NoPruning, purgeFactor = 1.0)
+
+  test("duplicate profile ids are rejected before blocking") {
+    // Unchecked, id 1 in both sources shares its blocks with itself: a self-match (1,1).
+    val dup = Profiles.fromSeq(spark, Seq(
+      Profile(1, 1, Map("name" -> "sony tv")),
+      Profile(1, 2, Map("name" -> "sony tv")),
+      Profile(2, 2, Map("name" -> "bosch washer"))))
+    val e = intercept[IllegalArgumentException](SparkERPipeline.run(dup, tiny))
+    assert(e.getMessage.contains("profile ids must be unique; id 1 "), e.getMessage)
+  }
+
+  test("clean-clean ER rejects a third source; dirty ER compares all three") {
+    // Unchecked, sources 2 and 3 are both side B, so (2,3) is never compared.
+    val three = Profiles.fromSeq(spark, Seq(
+      Profile(1, 1, Map("name" -> "sony tv")),
+      Profile(2, 2, Map("name" -> "bosch washer")),
+      Profile(3, 3, Map("name" -> "bosch washer"))))
+    val e = intercept[IllegalArgumentException](SparkERPipeline.run(three, tiny))
+    assert(e.getMessage.contains("found source 3"), e.getMessage)
+    val dirty = SparkERPipeline.run(three, tiny.copy(mode = ERMode.Dirty))
+    val matched = dirty.matches.collect().map(r => (r.getAs[Long]("p1"), r.getAs[Long]("p2")))
+    assert(matched.toSet == Set((2L, 3L)))
+  }
+
   test("dirty-mode pipeline runs") {
     val d = ERData.dirty(spark, nShared = 40)
     val res = SparkERPipeline.blocker(
       d.profiles,
-      SparkERConfig(mode = repro.core.ERMode.Dirty, schemaMode = SchemaMode.Agnostic))
+      SparkERConfig(mode = ERMode.Dirty, schemaMode = SchemaMode.Agnostic))
     val m = Metrics.evaluatePairs(res.candidates, d.groundTruth)
     assert(m.recall > 0.8, s"dirty recall ${m.recall}")
   }
