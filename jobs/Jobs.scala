@@ -59,7 +59,7 @@ object Table3Job {
   }
 }
 
-/** T4 — scaling sweep + broadcast-vs-dataframe meta-blocking. Usage: [nShared] */
+/** T4 — scaling sweep + meta-blocking alone. Usage: [nShared] */
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("sparker-table4")

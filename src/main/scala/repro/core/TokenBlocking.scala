@@ -26,8 +26,7 @@ import org.apache.spark.sql.functions._
   *
   * The blocker reads each block fact from one helper here: the per-block
   * sizes from [[blockStats]] (purging, filtering and [[validBlocks]]) and
-  * the member pairs of each block from `blockPairs` ([[comparisons]] and
-  * [[MetaBlocking.edges]]).
+  * the member pairs of each block from `blockPairs` ([[comparisons]]).
   */
 object TokenBlocking {
 

@@ -1,9 +1,8 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.ERMode
+import repro.core.{ERMode, MetaBlocking}
 import repro.core.MetaBlocking.{NodeCombine, ThresholdKind, WeightScheme}
-import repro.core.BroadcastMetaBlocking
 import repro.data.ERData
 import repro.eval.Metrics
 import repro.lsh.AttributePartitioner
@@ -26,6 +25,16 @@ object Experiments {
     "1::name" -> 1, "2::name" -> 1, "2::manufacturer" -> 1,
     "1::description" -> 2, "2::description" -> 2,
     "1::price" -> 3, "2::price" -> 3)
+
+  private val loose = SchemaMode.Loose(AttributePartitioner.Params(threshold = 0.3))
+
+  /** Blast (Fig 6e): loose schema, entropy-weighted CBS, WNP with θ = max/2
+    * and the avg rule. T2's last row, T3's blocker and T4's.
+    */
+  val blast: SparkERConfig = SparkERConfig(
+    schemaMode = loose,
+    useEntropy = true,
+    pruning = PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg))
 
   // ---------------------------------------------------------------- T1
 
@@ -55,17 +64,19 @@ object Experiments {
   def table1(spark: SparkSession, nShared: Int = 1000, seed: Long = 42L): Seq[T1Row] =
     withShufflePartitions(spark, 16) { table1Inner(spark, nShared, seed) }
 
+  /** T1's rows: (label, config). */
+  val table1Configs: Seq[(String, SparkERConfig)] = Seq(
+    "schema-agnostic (LSH t=1.0, all-blob)" ->
+      SchemaMode.Loose(AttributePartitioner.Params(threshold = 1.0)),
+    "loose schema (LSH t=0.3, auto)" -> loose,
+    "manual split: name|description|price" -> SchemaMode.Manual(manualNameDescSplit)
+  ).map { case (label, sm) =>
+    label -> SparkERConfig(schemaMode = sm, pruning = PruningStrategy.NoPruning)
+  }
+
   private def table1Inner(spark: SparkSession, nShared: Int, seed: Long): Seq[T1Row] = {
     val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
-    val configs = Seq(
-      "schema-agnostic (LSH t=1.0, all-blob)" ->
-        SchemaMode.Loose(AttributePartitioner.Params(threshold = 1.0)),
-      "loose schema (LSH t=0.3, auto)" ->
-        SchemaMode.Loose(AttributePartitioner.Params(threshold = 0.3)),
-      "manual split: name|description|price" ->
-        SchemaMode.Manual(manualNameDescSplit))
-    configs.map { case (label, sm) =>
-      val cfg = SparkERConfig(schemaMode = sm, pruning = PruningStrategy.NoPruning)
+    table1Configs.map { case (label, cfg) =>
       val b = SparkERPipeline.blocker(ds.profiles, cfg)
       val m = Metrics.evaluatePairs(b.candidates, ds.groundTruth)
       val nParts = b.clusters
@@ -91,27 +102,24 @@ object Experiments {
   def table2(spark: SparkSession, nShared: Int = 1000, seed: Long = 42L): Seq[T2Row] =
     withShufflePartitions(spark, 16) { table2Inner(spark, nShared, seed) }
 
+  /** T2's rows: (label, config). */
+  val table2Configs: Seq[(String, SparkERConfig)] = Seq(
+    "token blocking, no meta-blocking" ->
+      SparkERConfig(schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning),
+    "schema-agnostic MB (CBS, WNP avg/or)" ->
+      SparkERConfig(schemaMode = SchemaMode.Agnostic, weightScheme = WeightScheme.CBS,
+        useEntropy = false, pruning = PruningStrategy.Wnp()),
+    "schema-agnostic MB (JS, WNP avg/or)" ->
+      SparkERConfig(schemaMode = SchemaMode.Agnostic, weightScheme = WeightScheme.JS,
+        useEntropy = false, pruning = PruningStrategy.Wnp()),
+    "loose MB, no entropy (CBS, WNP avg/or)" ->
+      SparkERConfig(schemaMode = loose, weightScheme = WeightScheme.CBS,
+        useEntropy = false, pruning = PruningStrategy.Wnp()),
+    "Blast: loose MB + entropy (CBS, WNP max/2 avg)" -> blast)
+
   private def table2Inner(spark: SparkSession, nShared: Int, seed: Long): Seq[T2Row] = {
     val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
-    val loose = SchemaMode.Loose(AttributePartitioner.Params(threshold = 0.3))
-    val blastPruning =
-      PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg)
-    val configs: Seq[(String, SparkERConfig)] = Seq(
-      "token blocking, no meta-blocking" ->
-        SparkERConfig(schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning),
-      "schema-agnostic MB (CBS, WNP avg/or)" ->
-        SparkERConfig(schemaMode = SchemaMode.Agnostic, weightScheme = WeightScheme.CBS,
-          useEntropy = false, pruning = PruningStrategy.Wnp()),
-      "schema-agnostic MB (JS, WNP avg/or)" ->
-        SparkERConfig(schemaMode = SchemaMode.Agnostic, weightScheme = WeightScheme.JS,
-          useEntropy = false, pruning = PruningStrategy.Wnp()),
-      "loose MB, no entropy (CBS, WNP avg/or)" ->
-        SparkERConfig(schemaMode = loose, weightScheme = WeightScheme.CBS,
-          useEntropy = false, pruning = PruningStrategy.Wnp()),
-      "Blast: loose MB + entropy (CBS, WNP max/2 avg)" ->
-        SparkERConfig(schemaMode = loose, weightScheme = WeightScheme.CBS,
-          useEntropy = true, pruning = blastPruning))
-    configs.map { case (label, cfg) =>
+    table2Configs.map { case (label, cfg) =>
       val b = SparkERPipeline.blocker(ds.profiles, cfg)
       val m = Metrics.evaluatePairs(b.candidates, ds.groundTruth)
       T2Row(label, m.pairs, m.recall, m.precision, m.f1)
@@ -147,11 +155,7 @@ object Experiments {
       seed: Long,
       thresholds: Seq[Double]): Seq[T3Row] = {
     val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
-    val base = SparkERConfig(
-      schemaMode = SchemaMode.Loose(AttributePartitioner.Params(threshold = 0.3)),
-      useEntropy = true,
-      pruning = PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg))
-    val b = SparkERPipeline.blocker(ds.profiles, base)
+    val b = SparkERPipeline.blocker(ds.profiles, blast)
     val schemes = Seq(
       "jaccard" -> Similarity.Scheme.JaccardTokens,
       "cosine" -> Similarity.Scheme.CosineTF,
@@ -184,19 +188,15 @@ object Experiments {
       candidates: Long,
       millis: Long)
 
-  /** Scaling: blocker wall-clock vs. parallelism, DataFrame meta-blocking
-    * vs. the paper's broadcast-style implementation.
+  /** Scaling: blocker wall-clock vs. parallelism, and meta-blocking alone
+    * (`MetaBlocking.edges` + `wnp`) over the blocker's assignments. The
+    * `millis` are one-shot, cold-JIT timings.
     */
   def table4(
       spark: SparkSession,
       nShared: Int = 2000,
       seed: Long = 42L,
       partitionSweep: Seq[Int] = Seq(1, 2, 4, 8, 16)): Seq[T4Row] = {
-    val cfg = SparkERConfig(
-      schemaMode = SchemaMode.Loose(AttributePartitioner.Params(threshold = 0.3)),
-      useEntropy = true,
-      pruning = PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg))
-
     def timed[A](f: => A): (A, Long) = {
       val t0 = System.nanoTime()
       val a = f
@@ -211,35 +211,24 @@ object Experiments {
           partitions = p)
         val n = ds.profiles.count()
         val (c, ms) = timed {
-          SparkERPipeline.blocker(ds.profiles, cfg).candidates.count()
+          SparkERPipeline.blocker(ds.profiles, blast).candidates.count()
         }
-        T4Row("dataframe blocker", p, n, c, ms)
+        T4Row("full blocker", p, n, c, ms)
       } finally spark.conf.set("spark.sql.shuffle.partitions", prev)
     }
 
-    // DataFrame vs. broadcast meta-blocking at full parallelism.
+    // Meta-blocking alone at full parallelism.
     val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
     val n = ds.profiles.count()
-    val noPrune = cfg.copy(pruning = PruningStrategy.NoPruning)
-    val b = SparkERPipeline.blocker(ds.profiles, noPrune)
-    val (cDf, msDf) = timed {
-      repro.core.MetaBlocking
+    val b = SparkERPipeline.blocker(ds.profiles, blast.copy(pruning = PruningStrategy.NoPruning))
+    val (c, ms) = timed {
+      MetaBlocking
         .wnp(
-          repro.core.MetaBlocking.edges(b.assignments, ERMode.CleanClean,
-            WeightScheme.CBS, useEntropy = true),
+          MetaBlocking.edges(b.assignments, ERMode.CleanClean, WeightScheme.CBS, useEntropy = true),
           ThresholdKind.MaxFraction(0.5), NodeCombine.Avg)
         .count()
     }
-    val (cBc, msBc) = timed {
-      BroadcastMetaBlocking
-        .candidates(b.assignments, ERMode.CleanClean, WeightScheme.CBS,
-          useEntropy = true,
-          BroadcastMetaBlocking.Pruning.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg))
-        .count()
-    }
-    sweep ++ Seq(
-      T4Row("meta-blocking only: dataframe", 0, n, cDf, msDf),
-      T4Row("meta-blocking only: broadcast (paper)", 0, n, cBc, msBc))
+    sweep :+ T4Row("meta-blocking only", 0, n, c, ms)
   }
 
   // ---------------------------------------------------------- formatting

@@ -54,6 +54,9 @@ object SparkERPipeline {
     final case class Manual(clusters: Map[String, Int]) extends SchemaMode
   }
 
+  /** Every knob of the pipeline. Out-of-range values are rejected here, at
+    * construction, with a message that names the field.
+    */
   final case class SparkERConfig(
       mode: ERMode = ERMode.CleanClean,
       minTokenLength: Int = Tokenizer.DefaultMinLength,
@@ -64,7 +67,31 @@ object SparkERPipeline {
       useEntropy: Boolean = true,
       pruning: PruningStrategy = PruningStrategy.Wnp(),
       matcherScheme: Similarity.Scheme = Similarity.Scheme.JaccardTokens,
-      matcherThreshold: Double = 0.5)
+      matcherThreshold: Double = 0.5) {
+    require(minTokenLength >= 1, s"minTokenLength must be at least 1, got $minTokenLength")
+    require(purgeFactor > 0, s"purgeFactor must be positive, got $purgeFactor")
+    require(filterRatio > 0 && filterRatio <= 1, s"filterRatio must be in (0, 1], got $filterRatio")
+    require(matcherThreshold >= 0 && matcherThreshold <= 1,
+      s"matcherThreshold must be in [0, 1], got $matcherThreshold")
+    schemaMode match {
+      case SchemaMode.Loose(p) =>
+        require(p.numHashes > 0, s"Loose numHashes must be positive, got ${p.numHashes}")
+        require(p.bands > 0, s"Loose bands must be positive, got ${p.bands}")
+        require(p.numHashes % p.bands == 0,
+          s"Loose bands=${p.bands} must divide numHashes=${p.numHashes}")
+        require(p.threshold > 0 && p.threshold <= 1,
+          s"Loose threshold must be in (0, 1], got ${p.threshold}")
+      case _ =>
+    }
+    pruning match {
+      case PruningStrategy.Cep(k) => require(k > 0, s"Cep k must be positive, got $k")
+      case PruningStrategy.Cnp(k) => require(k > 0, s"Cnp k must be positive, got $k")
+      case PruningStrategy.Wnp(ThresholdKind.MaxFraction(c), _) =>
+        require(c > 0 && c <= 1, s"MaxFraction c must be in (0, 1], got $c")
+      case PruningStrategy.Wep(f) => require(f >= 0, s"Wep factor must be non-negative, got $f")
+      case _ =>
+    }
+  }
 
   /** Blocker output plus the stage counts the demo GUI reports. */
   final case class BlockerResult(

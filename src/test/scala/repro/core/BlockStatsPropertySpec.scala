@@ -15,48 +15,17 @@ import repro.{Props, SparkSpec}
 class BlockStatsPropertySpec extends SparkSpec with Props {
   import spark.implicits._
 
-  private val vocab = Vector("sony", "tv", "bosch", "washer", "x5", "black", "the", "café")
-  private val attrs = Vector("name", "desc", "brand")
-
-  private val genValue: Gen[String] = for {
-    n <- Gen.choose(0, 4)
-    tokens <- Gen.listOfN(n, Gen.oneOf(vocab))
-    sep <- Gen.oneOf(" ", " - ", ", ")
-    upper <- Gen.oneOf(false, true)
-  } yield {
-    val v = tokens.mkString(sep)
-    if (upper) v.toUpperCase else v
-  }
-
-  private val genProfile: Gen[(Int, Map[String, String])] = for {
-    source <- Gen.oneOf(1, 2)
-    k <- Gen.choose(1, attrs.size)
-    names <- Gen.pick(k, attrs)
-    values <- Gen.listOfN(k, genValue)
-  } yield (source, names.zip(values).toMap)
-
   /** Profiles with unique ids, an attribute partitioning, a purge factor and
     * a filter ratio.
     */
   private val genInput = for {
-    n <- Gen.choose(1, 10)
-    ps <- Gen.listOfN(n, genProfile)
-    clusters <- Gen.listOfN(2 * attrs.size, Gen.choose(0, 2))
+    input <- RandomBlocks.genProfiles
     factor <- Gen.oneOf(0.3, 0.5, 1.0)
     ratio <- Gen.oneOf(0.5, 0.8, 1.0)
-  } yield {
-    val profiles = ps.zipWithIndex.map { case ((s, m), i) => Profile(i + 1L, s, m) }
-    val attrKeys = for (s <- Seq(1, 2); a <- attrs) yield s"$s::$a"
-    (profiles, attrKeys.zip(clusters), factor, ratio)
-  }
+  } yield (input._1, input._2, factor, ratio)
 
-  /** Schema-agnostic and loose-schema assignments of one input. */
-  private def blockings(profiles: Seq[Profile], clusters: Seq[(String, Int)]): Seq[DataFrame] = {
-    val kv = Profiles.toKV(Profiles.fromSeq(spark, profiles))
-    val clustersDf = clusters.map { case (k, c) => (k, c, (c + 1) / 3.0) }
-      .toDF("attrKey", "cluster", "entropy")
-    Seq(TokenBlocking.schemaAgnostic(kv), TokenBlocking.looseSchema(kv, clustersDf))
-  }
+  private def blockings(profiles: Seq[Profile], clusters: Seq[(String, Int)]): Seq[DataFrame] =
+    RandomBlocks.blockings(spark, profiles, clusters)
 
   private def rows(df: DataFrame) =
     df.select("key", "cluster", "entropy", "pid", "source").collect().toSet

@@ -1,22 +1,29 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.core.BroadcastMetaBlocking.Pruning
 import repro.core.MetaBlocking._
 import repro.data.ERData
 import repro.pipeline.SparkERPipeline
 import repro.pipeline.SparkERPipeline.{PruningStrategy, SchemaMode, SparkERConfig}
 import repro.{Fixtures, SparkSpec}
 
-/** Parity tests: the paper's broadcast-style meta-blocking must produce
-  * exactly the same pruned graph as the DataFrame implementation.
+/** The paper's broadcast meta-blocking, `MetaBlocking.edges`, against the
+  * key self-join in [[MetaBlockingReference]]: the same weighted graph,
+  * and the same graph after pruning.
   */
 class BroadcastMetaBlockingSpec extends SparkSpec {
   import spark.implicits._
 
-  private def edgeSet(df: DataFrame): Set[(Long, Long, Double)] =
+  private def edgeMap(df: DataFrame): Map[(Long, Long), Double] =
     df.select("p1", "p2", "weight").as[(Long, Long, Double)].collect()
-      .map { case (a, b, w) => (a, b, math.rint(w * 1e9) / 1e9) }.toSet
+      .map { case (a, b, w) => (a, b) -> w }.toMap
+
+  /** The same pairs, with weights within 1e-9. */
+  private def assertSameGraph(got: DataFrame, want: DataFrame): Unit = {
+    val (g, w) = (edgeMap(got), edgeMap(want))
+    assert(g.keySet == w.keySet)
+    g.foreach { case (e, x) => assert(math.abs(x - w(e)) < 1e-9, s"$e: $x vs ${w(e)}") }
+  }
 
   private lazy val fig1 =
     TokenBlocking.schemaAgnostic(Profiles.toKV(Fixtures.figure1(spark))).cache()
@@ -29,42 +36,43 @@ class BroadcastMetaBlockingSpec extends SparkSpec {
     ).assignments
   }
 
+  /** Edges of both implementations. */
+  private def both(
+      a: DataFrame,
+      mode: ERMode = ERMode.CleanClean,
+      scheme: WeightScheme = WeightScheme.CBS,
+      useEntropy: Boolean = false): (DataFrame, DataFrame) = {
+    val (e, r) = (edges(a, mode, scheme, useEntropy),
+      MetaBlockingReference.edges(a, mode, scheme, useEntropy))
+    assertSameGraph(e, r)
+    (e, r)
+  }
+
   test("figure 1: broadcast CBS weights match the paper") {
-    val got = BroadcastMetaBlocking.candidates(
-      fig1, ERMode.CleanClean, pruning = Pruning.Wep(factor = 0.0))
-    assert(
-      got.select("p1", "p2", "weight").as[(Long, Long, Double)].collect()
-        .map { case (a, b, w) => (a, b) -> w }.toMap == Fixtures.figure1CbsWeights)
+    val (e, _) = both(fig1)
+    assert(edgeMap(e) == Fixtures.figure1CbsWeights)
   }
 
   test("figure 1: broadcast WNP matches dataframe WNP") {
-    val df = wnp(edges(fig1, ERMode.CleanClean))
-    val bc = BroadcastMetaBlocking.candidates(fig1, ERMode.CleanClean,
-      pruning = Pruning.Wnp(ThresholdKind.AvgWeight, NodeCombine.Or))
-    assert(edgeSet(bc) == edgeSet(df))
+    val (e, r) = both(fig1)
+    assertSameGraph(wnp(e), wnp(r))
   }
 
   test("parity on ER data: CBS + WNP avg/or") {
-    val df = wnp(edges(erAssignments, ERMode.CleanClean))
-    val bc = BroadcastMetaBlocking.candidates(erAssignments, ERMode.CleanClean,
-      pruning = Pruning.Wnp(ThresholdKind.AvgWeight, NodeCombine.Or))
-    assert(edgeSet(bc) == edgeSet(df))
+    val (e, r) = both(erAssignments)
+    assertSameGraph(wnp(e), wnp(r))
   }
 
   test("parity on ER data: CBS + WNP blast rule") {
-    val df = wnp(edges(erAssignments, ERMode.CleanClean),
-      ThresholdKind.MaxFraction(0.5), NodeCombine.Avg)
-    val bc = BroadcastMetaBlocking.candidates(erAssignments, ERMode.CleanClean,
-      pruning = Pruning.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg))
-    assert(edgeSet(bc) == edgeSet(df))
+    val (e, r) = both(erAssignments)
+    assertSameGraph(
+      wnp(e, ThresholdKind.MaxFraction(0.5), NodeCombine.Avg),
+      wnp(r, ThresholdKind.MaxFraction(0.5), NodeCombine.Avg))
   }
 
   test("parity on ER data: JS + WNP and") {
-    val df = wnp(edges(erAssignments, ERMode.CleanClean, WeightScheme.JS),
-      combine = NodeCombine.And)
-    val bc = BroadcastMetaBlocking.candidates(erAssignments, ERMode.CleanClean,
-      WeightScheme.JS, pruning = Pruning.Wnp(ThresholdKind.AvgWeight, NodeCombine.And))
-    assert(edgeSet(bc) == edgeSet(df))
+    val (e, r) = both(erAssignments, scheme = WeightScheme.JS)
+    assertSameGraph(wnp(e, combine = NodeCombine.And), wnp(r, combine = NodeCombine.And))
   }
 
   test("parity on ER data: entropy-weighted CBS + WEP") {
@@ -72,32 +80,32 @@ class BroadcastMetaBlockingSpec extends SparkSpec {
     val loose = SparkERPipeline.blocker(
       ds.profiles,
       SparkERConfig(pruning = PruningStrategy.NoPruning)).assignments
-    val df = wep(edges(loose, ERMode.CleanClean, WeightScheme.CBS, useEntropy = true))
-    val bc = BroadcastMetaBlocking.candidates(loose, ERMode.CleanClean,
-      WeightScheme.CBS, useEntropy = true, Pruning.Wep())
-    assert(edgeSet(bc) == edgeSet(df))
+    val (e, r) = both(loose, useEntropy = true)
+    assertSameGraph(wep(e), wep(r))
   }
 
   test("parity in dirty mode") {
     val dirty = ERData.dirty(spark, nShared = 40)
     val a = TokenBlocking.validBlocks(
       TokenBlocking.schemaAgnostic(Profiles.toKV(dirty.profiles)), ERMode.Dirty)
-    val df = wnp(edges(a, ERMode.Dirty))
-    val bc = BroadcastMetaBlocking.candidates(a, ERMode.Dirty,
-      pruning = Pruning.Wnp(ThresholdKind.AvgWeight, NodeCombine.Or))
-    assert(edgeSet(bc) == edgeSet(df))
+    val (e, r) = both(a, ERMode.Dirty)
+    assertSameGraph(wnp(e), wnp(r))
   }
 
   test("broadcast WEP matches dataframe WEP on figure 1") {
-    val df = wep(edges(fig1, ERMode.CleanClean))
-    val bc = BroadcastMetaBlocking.candidates(fig1, ERMode.CleanClean,
-      pruning = Pruning.Wep())
-    assert(edgeSet(bc) == edgeSet(df))
+    val (e, r) = both(fig1)
+    assertSameGraph(wep(e), wep(r))
   }
 
   test("broadcast output contains no duplicate edges") {
-    val bc = BroadcastMetaBlocking.candidates(erAssignments, ERMode.CleanClean,
-      pruning = Pruning.Wnp(ThresholdKind.AvgWeight, NodeCombine.Or))
-    assert(bc.count() == bc.select("p1", "p2").distinct().count())
+    val e = edges(erAssignments, ERMode.CleanClean)
+    assert(e.count() == e.select("p1", "p2").distinct().count())
+  }
+
+  test("the block index is read to the driver only within its bound") {
+    val n = fig1.count().toInt
+    val e = intercept[IllegalArgumentException](boundedIndexRows(fig1, bound = 3))
+    assert(e.getMessage.contains(s"at most 3 assignments; these blocks hold $n"), e.getMessage)
+    assert(boundedIndexRows(fig1, bound = n).length == n)
   }
 }

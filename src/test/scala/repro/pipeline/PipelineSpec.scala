@@ -1,5 +1,6 @@
 package repro.pipeline
 
+import com.fasterxml.jackson.databind.ObjectMapper
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
@@ -9,8 +10,12 @@ import repro.core.{ERMode, Profile, Profiles}
 import repro.core.MetaBlocking.{NodeCombine, ThresholdKind}
 import repro.data.ERData
 import repro.eval.Metrics
+import repro.experiments.Experiments
 import repro.lsh.AttributePartitioner
 import repro.pipeline.SparkERPipeline._
+
+import java.io.File
+import scala.jdk.CollectionConverters._
 
 /** End-to-end behaviour on the synthetic Abt-Buy: these are the
   * integration-level facts the demo walkthrough (Fig 6) relies on.
@@ -177,6 +182,56 @@ class PipelineSpec extends SparkSpec {
     val dirty = SparkERPipeline.run(three, tiny.copy(mode = ERMode.Dirty))
     val matched = dirty.matches.collect().map(r => (r.getAs[Long]("p1"), r.getAs[Long]("p2")))
     assert(matched.toSet == Set((2L, 3L)))
+  }
+
+  test("out-of-range configs are rejected at construction, naming the field") {
+    val params = AttributePartitioner.Params()
+    def loose(p: AttributePartitioner.Params) = SparkERConfig(schemaMode = SchemaMode.Loose(p))
+    def pruned(p: PruningStrategy) = SparkERConfig(pruning = p)
+    val invalid: Seq[(String, () => SparkERConfig)] = Seq(
+      "minTokenLength" -> (() => SparkERConfig(minTokenLength = 0)),
+      "purgeFactor" -> (() => SparkERConfig(purgeFactor = 0.0)),
+      "filterRatio" -> (() => SparkERConfig(filterRatio = 0.0)),
+      "matcherThreshold" -> (() => SparkERConfig(matcherThreshold = 1.5)),
+      "Loose numHashes" -> (() => loose(params.copy(numHashes = 0))),
+      "Loose bands must be positive" -> (() => loose(params.copy(bands = 0))),
+      "Loose bands=48 must divide numHashes=128" -> (() => loose(params.copy(bands = 48))),
+      "Loose threshold" -> (() => loose(params.copy(threshold = 0.0))),
+      "Cep k" -> (() => pruned(PruningStrategy.Cep(0))),
+      "Cnp k" -> (() => pruned(PruningStrategy.Cnp(0))),
+      "MaxFraction c" ->
+        (() => pruned(PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.0), NodeCombine.Avg))),
+      "Wep factor" -> (() => pruned(PruningStrategy.Wep(-0.5))))
+    invalid.foreach { case (field, make) =>
+      val e = intercept[IllegalArgumentException](make())
+      assert(e.getMessage.contains(field), e.getMessage)
+    }
+  }
+
+  test("the configs of Experiments and perfbench/spec.json construct") {
+    // Referencing Experiments initialises it, which constructs every config it runs.
+    assert(Experiments.table1Configs.nonEmpty)
+    assert(Experiments.table2Configs.map(_._2).contains(Experiments.blast))
+    val workloads = new ObjectMapper().readTree(new File("perfbench/spec.json")).get("workloads")
+    assert(workloads.size > 0)
+    workloads.elements().asScala.foreach { w =>
+      val c = w.get("config")
+      val schema = c.get("schema")
+      val p = c.get("pruning")
+      SparkERConfig(
+        schemaMode = schema.get("kind").asText match {
+          case "Agnostic" => SchemaMode.Agnostic
+          case "Loose" =>
+            SchemaMode.Loose(AttributePartitioner.Params(threshold = schema.get("threshold").asDouble))
+        },
+        useEntropy = c.get("useEntropy").asBoolean,
+        pruning = p.get("kind").asText match {
+          case "NoPruning" => PruningStrategy.NoPruning
+          case "Wnp" =>
+            PruningStrategy.Wnp(ThresholdKind.MaxFraction(p.get("c").asDouble), NodeCombine.Avg)
+        },
+        matcherThreshold = c.get("matcherThreshold").asDouble)
+    }
   }
 
   test("dirty-mode pipeline runs") {
