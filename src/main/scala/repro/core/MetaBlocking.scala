@@ -1,18 +1,31 @@
 package repro.core
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import scala.reflect.ClassTag
 
 /** Meta-blocking (§1, §2.1; Figs 1c and 2c).
   *
   * Profiles are nodes, co-occurrence in a block is an edge; edges are
   * weighted and the graph is pruned, the survivors being the candidate
-  * pairs. [[edges]] builds the weighted graph with the paper's broadcast,
-  * node-centric scheme; the pruning functions are DataFrame queries over
-  * its output.
+  * pairs. The graph is never built: both [[edges]] and [[candidates]] walk
+  * it the way the paper parallelises meta-blocking, node by node over a
+  * broadcast block index, each node's neighbourhood built, used and
+  * dropped. [[candidates]] prunes inside that walk, in two passes: pass 1
+  * derives the thresholds of the pruning rule, pass 2 walks again and
+  * emits the surviving pairs.
+  *
+  * [[wep]], [[wnp]], [[cep]] and [[cnp]] prune a weighted edge DataFrame
+  * with Spark aggregates and joins. The pipeline does not run them: they
+  * are the reference that [[candidates]] is tested against, and the
+  * traced benchmark replays them over [[edges]].
   */
 object MetaBlocking {
 
@@ -45,12 +58,28 @@ object MetaBlocking {
     case object Avg extends NodeCombine
   }
 
-  /** Most assignments [[edges]] reads to the driver. Measured at the bound
+  /** Graph pruning strategy: which edges of the blocking graph become
+    * candidate pairs.
+    */
+  sealed trait PruningStrategy
+  object PruningStrategy {
+    /** No meta-blocking: all block-derived comparisons survive. */
+    case object NoPruning extends PruningStrategy
+    final case class Wep(factor: Double = 1.0) extends PruningStrategy
+    final case class Wnp(
+        kind: ThresholdKind = ThresholdKind.AvgWeight,
+        combine: NodeCombine = NodeCombine.Or) extends PruningStrategy
+    final case class Cep(k: Long) extends PruningStrategy
+    final case class Cnp(k: Int) extends PruningStrategy
+  }
+
+  /** Most assignments a walk reads to the driver. Measured at the bound
     * on a 64-bit JVM (JDK 17), with 77k profiles of 13 blocks each: the
-    * collected rows and the block index built from them hold 150 MB of
-    * driver heap over 20k blocks, 163 MB over 200k blocks, and 221 MB when
-    * every assignment is a block of its own (the worst case). A whole
-    * `edges` call at the bound ran in a 1 GB driver heap.
+    * collected rows and the block index built from them hold 144 MB of
+    * driver heap over 20k blocks, 147 MB over 200k blocks, and 154 MB when
+    * every assignment is a block of its own (the worst case); the index
+    * alone is 10–20 MB. A whole Blast-WNP [[candidates]] call at the bound
+    * (20k blocks, 1.2M candidates) ran in a 1 GB heap in local mode.
     */
   val DriverAssignmentBound = 1000000
 
@@ -73,24 +102,216 @@ object MetaBlocking {
     rows
   }
 
-  /** What every partition of [[edges]] reads. Blocks are numbered `0..B-1`
-    * in key order. `partners(b)` are the members of block `b` that an
-    * emitting profile pairs with, ascending: the members from sources other
-    * than 1 in clean-clean ER, all members in dirty ER. `blocksOf(p)` are
-    * profile `p`'s block ids, ascending; their count is its `nb` for JS.
+  /** What every walk reads, over dense ids. Profiles are numbered `0..P-1`:
+    * in clean-clean ER those of source 1 first, then the others, each side
+    * in id order; in dirty ER all in id order. Either way an edge's `p1`
+    * has the lower dense id, and dense order within the profiles a node can
+    * pair with is id order. `n1` counts the profiles that pair with
+    * higher ids: source 1 in clean-clean ER, all in dirty ER. Blocks are
+    * numbered `0..B-1` in key order.
+    *
+    * Two CSR arrays: block `b`'s members are
+    * `members(memberStart(b) until memberStart(b + 1))`, ascending, and
+    * those from `split(b)` on have ids of at least `n1` (in dirty ER,
+    * `split(b) = memberStart(b)`); profile `u`'s blocks are
+    * `blocks(blockStart(u) until blockStart(u + 1))`, ascending, and their
+    * count is its `nb` for JS.
     */
-  private final case class BlockIndex(
-      partners: Array[Array[Long]],
-      entropy: Array[Double],
-      blocksOf: Map[Long, Array[Int]])
+  private final class BlockIndex(
+      val pids: Array[Long],
+      val n1: Int,
+      val entropy: Array[Double],
+      val memberStart: Array[Int],
+      val split: Array[Int],
+      val members: Array[Int],
+      val blockStart: Array[Int],
+      val blocks: Array[Int],
+      val scheme: WeightScheme,
+      val useEntropy: Boolean) extends Serializable {
+
+    def nb(u: Int): Int = blockStart(u + 1) - blockStart(u)
+
+    /** The weight of edge `(u, q)` from its common-block count and the sum
+      * of their entropies; symmetric in `u` and `q`.
+      */
+    def weight(u: Int, q: Int, cbs: Int, entSum: Double): Double = scheme match {
+      case WeightScheme.CBS => if (useEntropy) entSum else cbs.toDouble
+      case WeightScheme.JS =>
+        val js = cbs.toDouble / (nb(u) + nb(q) - cbs)
+        if (useEntropy) js * entSum / cbs else js
+    }
+  }
+
+  private object BlockIndex {
+    def apply(
+        rows: Array[(String, Long, Int, Double)],
+        mode: ERMode,
+        scheme: WeightScheme,
+        useEntropy: Boolean): BlockIndex = {
+      val dirty = mode == ERMode.Dirty
+      val sided = rows.map(r => (if (dirty || r._3 == 1) 0 else 1, r._2)).distinct.sorted
+      val pids = sided.map(_._2)
+      val n1 = sided.count(_._1 == 0)
+      val idOf = mutable.LongMap.from(pids.iterator.zipWithIndex)
+      val keys = rows.map(_._1).distinct.sorted
+      val blockOf = keys.iterator.zipWithIndex.toMap
+      val entropy = new Array[Double](keys.length)
+      val b = rows.map(r => blockOf(r._1))
+      val u = rows.map(r => idOf(r._2))
+      rows.indices.foreach(i => entropy(b(i)) = rows(i)._4)
+      val (memberStart, members) = csr(keys.length, b, u)
+      val (blockStart, blocks) = csr(pids.length, u, b)
+      val split = Array.tabulate(keys.length) { blk =>
+        var i = memberStart(blk)
+        if (!dirty) while (i < memberStart(blk + 1) && members(i) < n1) i += 1
+        i
+      }
+      new BlockIndex(pids, n1, entropy, memberStart, split, members, blockStart, blocks,
+        scheme, useEntropy)
+    }
+
+    /** Row `r` of the result holds the `value`s paired with `r` in `row`,
+      * ascending.
+      */
+    private def csr(nRows: Int, row: Array[Int], value: Array[Int]): (Array[Int], Array[Int]) = {
+      val start = new Array[Int](nRows + 1)
+      row.foreach(r => start(r + 1) += 1)
+      (0 until nRows).foreach(r => start(r + 1) += start(r))
+      val next = start.clone()
+      val values = new Array[Int](row.length)
+      row.indices.foreach { i =>
+        values(next(row(i))) = value(i)
+        next(row(i)) += 1
+      }
+      (0 until nRows).foreach(r => java.util.Arrays.sort(values, start(r), start(r + 1)))
+      (start, values)
+    }
+  }
+
+  /** One task's scratch space for neighbourhood walks, reused for every
+    * node the task walks: a common-block count and an entropy sum per
+    * profile, and the neighbours the current walk touched.
+    */
+  private final class Walker(ix: BlockIndex) {
+    private val cbs = new Array[Int](ix.pids.length)
+    private val entSum = new Array[Double](ix.pids.length)
+    /** After `walk` returned `n`, `nbr(i)` and `weight(i)`, `i < n`, are
+      * the walked node's neighbours and edge weights.
+      */
+    val nbr = new Array[Int](ix.pids.length)
+    val weight = new Array[Double](ix.pids.length)
+
+    /** Builds `u`'s neighbourhood (with `upper`, only the neighbours above
+      * `u`) and returns its size. Each neighbour's common blocks are summed
+      * in ascending block order, so both endpoints of an edge compute
+      * bit-identical weights.
+      */
+    def walk(u: Int, upper: Boolean): Int = {
+      var n = 0
+      val other = u >= ix.n1
+      var i = ix.blockStart(u)
+      while (i < ix.blockStart(u + 1)) {
+        val b = ix.blocks(i)
+        var j = if (other) ix.memberStart(b) else ix.split(b)
+        val end = if (other) ix.split(b) else ix.memberStart(b + 1)
+        while (j < end) {
+          val q = ix.members(j)
+          if (q > u || (!upper && q != u)) {
+            if (cbs(q) == 0) { nbr(n) = q; n += 1 }
+            cbs(q) += 1
+            entSum(q) += ix.entropy(b)
+          }
+          j += 1
+        }
+        i += 1
+      }
+      var t = 0
+      while (t < n) {
+        val q = nbr(t)
+        weight(t) = ix.weight(u, q, cbs(q), entSum(q))
+        cbs(q) = 0
+        entSum(q) = 0.0
+        t += 1
+      }
+      n
+    }
+  }
+
+  /** Reads the assignments (at most [[DriverAssignmentBound]]; more fails),
+    * builds the [[BlockIndex]] on the driver and broadcasts it.
+    */
+  private def broadcastIndex(
+      assignments: DataFrame,
+      mode: ERMode,
+      scheme: WeightScheme,
+      useEntropy: Boolean): Broadcast[BlockIndex] =
+    assignments.sparkSession.sparkContext.broadcast(BlockIndex(
+      boundedIndexRows(assignments, DriverAssignmentBound), mode, scheme, useEntropy))
+
+  /** `f` over the nodes `0 until n`, in parallel, with one [[Walker]] per
+    * task; the nodes of a task are contiguous and ascending.
+    */
+  private def walkNodes[A: ClassTag](sc: SparkContext, g: Broadcast[BlockIndex], n: Int)(
+      f: (Walker, Iterator[Int]) => Iterator[A]): RDD[A] =
+    sc.parallelize(0 until n).mapPartitions(us => f(new Walker(g.value), us))
+
+  /** Pass 1: `f(walker, u)` for every node `u < n`, returned to the driver
+    * in node order.
+    */
+  private def perNode[A: ClassTag](sc: SparkContext, g: Broadcast[BlockIndex], n: Int)(
+      f: (Walker, Int) => A): Array[A] =
+    walkNodes(sc, g, n)((w, us) => us.map(f(w, _))).collect()
+
+  /** Whether pass 2 keeps edge `(u, q)`, `u < q`, of weight `w`. A trait
+    * rather than a `Function3`, whose `apply` would box every edge's
+    * arguments.
+    */
+  private trait EdgeRule {
+    def keeps(u: Int, q: Int, w: Double): Boolean
+  }
+
+  /** Pass 2: the edges that `newRule()` keeps, each once as
+    * `(p1, p2, weight)`, walked from `p1`'s side. Each task makes its rule
+    * once, so a rule reads its broadcast thresholds once per task and not
+    * per edge (`Broadcast.value` is synchronized).
+    */
+  private def kept(sc: SparkContext, g: Broadcast[BlockIndex])(
+      newRule: () => EdgeRule): RDD[(Long, Long, Double)] =
+    walkNodes(sc, g, g.value.n1) { (w, us) =>
+      val pids = g.value.pids
+      val rule = newRule()
+      us.flatMap { u =>
+        val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+        val n = w.walk(u, upper = true)
+        var i = 0
+        while (i < n) {
+          if (rule.keeps(u, w.nbr(i), w.weight(i))) out += ((pids(u), pids(w.nbr(i)), w.weight(i)))
+          i += 1
+        }
+        out
+      }
+    }
+
+  /** `(weight, key)` pairs, best first: higher weight, then lower key. */
+  private val bestFirst: Ordering[(Double, Long)] = (a, b) =>
+    if (a._1 != b._1) java.lang.Double.compare(b._1, a._1) else java.lang.Long.compare(a._2, b._2)
+
+  /** The `k` best `(weight, key)` pairs offered; the head is the worst of
+    * them.
+    */
+  private final class TopK(k: Long) {
+    val heap = new java.util.PriorityQueue[(Double, Long)](bestFirst.reverse)
+
+    def offer(w: Double, key: Long): Unit =
+      if (heap.size < k) heap.add((w, key))
+      else if (bestFirst.lt((w, key), heap.peek)) { heap.poll(); heap.add((w, key)) }
+  }
 
   /** Build the weighted blocking graph from block assignments, the way the
     * paper parallelises meta-blocking (§2.1): the block index is broadcast
     * to every partition, and each partition materialises the neighbourhood
     * of one node at a time.
     *
-    * The driver reads the assignments (at most [[DriverAssignmentBound]];
-    * more fails), numbers the blocks and broadcasts the [[BlockIndex]].
     * The emitting profiles — those of source 1 in clean-clean ER, all in
     * dirty ER — are parallelised; each sums, per neighbour, the common
     * blocks and their entropies, reading its blocks in ascending id order,
@@ -108,52 +329,121 @@ object MetaBlocking {
       useEntropy: Boolean = false): DataFrame = {
     val spark = assignments.sparkSession
     import spark.implicits._
-    val dirty = mode == ERMode.Dirty
-    val rows = boundedIndexRows(assignments, DriverAssignmentBound)
-
-    val keys = rows.map(_._1).distinct.sorted
-    val blockOf = keys.iterator.zipWithIndex.toMap
-    val entropy = new Array[Double](keys.length)
-    rows.foreach { case (k, _, _, e) => entropy(blockOf(k)) = e }
-    val partners = Array.fill(keys.length)(Array.emptyLongArray)
-    rows.filter(r => dirty || r._3 != 1).groupMap(r => blockOf(r._1))(_._2)
-      .foreach { case (b, ps) => partners(b) = ps.sorted }
-    val blocksOf = rows.groupMap(_._2)(r => blockOf(r._1)).map { case (p, bs) => p -> bs.sorted }
-    val emitting = rows.collect { case (_, p, s, _) if dirty || s == 1 => p }.distinct.sorted
-    val index = spark.sparkContext.broadcast(BlockIndex(partners, entropy, blocksOf))
-
-    spark.sparkContext.parallelize(emitting.toSeq)
-      .mapPartitions { pids =>
-        val BlockIndex(partners, entropy, blocksOf) = index.value
-        pids.flatMap { p =>
-          val nbrs = mutable.LongMap.empty[Neighbour]
-          blocksOf(p).foreach { b =>
-            partners(b).foreach { q =>
-              if (!dirty || q > p) {
-                val n = nbrs.getOrElseUpdate(q, new Neighbour)
-                n.cbs += 1
-                n.entSum += entropy(b)
-              }
-            }
-          }
-          nbrs.iterator.map { case (q, n) =>
-            val w = scheme match {
-              case WeightScheme.CBS => if (useEntropy) n.entSum else n.cbs.toDouble
-              case WeightScheme.JS =>
-                val js = n.cbs.toDouble / (blocksOf(p).length + blocksOf(q).length - n.cbs)
-                if (useEntropy) js * n.entSum / n.cbs else js
-            }
-            (p, q, w)
-          }
-        }
-      }
-      .toDF("p1", "p2", "weight")
+    val g = broadcastIndex(assignments, mode, scheme, useEntropy)
+    kept(spark.sparkContext, g)(() => (_, _, _) => true).toDF("p1", "p2", "weight")
   }
 
-  /** One neighbour's common blocks and the sum of their entropies. */
-  private final class Neighbour {
-    var cbs = 0
-    var entSum = 0.0
+  /** The candidate pairs `(p1, p2)` that `pruning` keeps of the graph
+    * [[edges]] would build, oriented as there, without building it.
+    * `NoPruning` is [[TokenBlocking.comparisons]]. Every other strategy
+    * makes two walks over the broadcast index, and pass 1 sends the
+    * driver:
+    *  - WEP: one weight sum and edge count per emitting profile, added
+    *    up in profile order into the global mean;
+    *  - WNP: each profile's threshold (mean or `c`·max of its own
+    *    neighbourhood, 8 bytes per profile), broadcast for pass 2;
+    *  - CNP: each profile's k-th best edge key `(weight desc, neighbour)`,
+    *    12 bytes per profile, broadcast for pass 2;
+    *  - CEP: each partition's top k edges, at most k·partitions rows,
+    *    merged on the driver into the result, with no pass 2.
+    * Pass 2 walks the emitting profiles again and keeps each edge that
+    * meets the rule. A node sums its weights in the order its walk meets
+    * its neighbours, which depends on the index only, so the candidates
+    * are the same for any partitioning of `assignments`.
+    * They equal the reference functions over [[edges]], up to the order
+    * in which Spark's `avg` adds the weights for WEP and `AvgWeight`.
+    */
+  def candidates(
+      assignments: DataFrame,
+      mode: ERMode,
+      scheme: WeightScheme,
+      useEntropy: Boolean,
+      pruning: PruningStrategy): DataFrame = {
+    val spark = assignments.sparkSession
+    import spark.implicits._
+    val sc = spark.sparkContext
+    lazy val g = broadcastIndex(assignments, mode, scheme, useEntropy) // NoPruning reads no index
+    def pairs(rdd: RDD[(Long, Long, Double)]) = rdd.map(e => (e._1, e._2)).toDF("p1", "p2")
+
+    pruning match {
+      case PruningStrategy.NoPruning => TokenBlocking.comparisons(assignments, mode)
+
+      case PruningStrategy.Wep(factor) =>
+        val sums = perNode(sc, g, g.value.n1) { (w, u) =>
+          val n = w.walk(u, upper = true)
+          var s = 0.0
+          (0 until n).foreach(i => s += w.weight(i))
+          (s, n)
+        }
+        val count = sums.iterator.map(_._2.toLong).sum
+        if (count == 0) Seq.empty[(Long, Long)].toDF("p1", "p2")
+        else {
+          var total = 0.0
+          sums.foreach(total += _._1)
+          val theta = factor * (total / count)
+          pairs(kept(sc, g)(() => (_, _, wt) => wt >= theta))
+        }
+
+      case PruningStrategy.Wnp(kind, combine) =>
+        val theta = sc.broadcast(perNode(sc, g, g.value.pids.length) { (w, u) =>
+          val n = w.walk(u, upper = false)
+          var s = 0.0
+          var max = Double.NegativeInfinity
+          (0 until n).foreach { i =>
+            s += w.weight(i)
+            max = math.max(max, w.weight(i))
+          }
+          kind match {
+            case ThresholdKind.AvgWeight => s / n
+            case ThresholdKind.MaxFraction(c) => max * c
+          }
+        })
+        pairs(kept(sc, g) { () =>
+          val t = theta.value
+          (u, q, wt) => combine match {
+            case NodeCombine.Or => wt >= t(u) || wt >= t(q)
+            case NodeCombine.And => wt >= t(u) && wt >= t(q)
+            case NodeCombine.Avg => wt >= (t(u) + t(q)) / 2
+          }
+        })
+
+      case PruningStrategy.Cnp(k) =>
+        require(k > 0, s"k must be positive, got $k")
+        // Within a node's edges, (weight desc, p1, p2) orders as
+        // (weight desc, neighbour); a node with at most k edges keeps all.
+        val (kw, kq) = perNode(sc, g, g.value.pids.length) { (w, u) =>
+          val n = w.walk(u, upper = false)
+          if (n <= k) (Double.NegativeInfinity, Int.MaxValue)
+          else {
+            val top = new TopK(k)
+            (0 until n).foreach(i => top.offer(w.weight(i), w.nbr(i)))
+            (top.heap.peek._1, top.heap.peek._2.toInt)
+          }
+        }.unzip
+        val (bw, bq) = (sc.broadcast(kw), sc.broadcast(kq))
+        pairs(kept(sc, g) { () =>
+          val (tw, tq) = (bw.value, bq.value)
+          def retains(node: Int, other: Int, wt: Double) =
+            wt > tw(node) || (wt == tw(node) && other <= tq(node))
+          (u, q, wt) => retains(u, q, wt) || retains(q, u, wt)
+        })
+
+      case PruningStrategy.Cep(k) =>
+        require(k > 0, s"k must be positive, got $k")
+        // An edge's key packs its dense (p1, p2), so key order is (p1, p2) order.
+        val tops = walkNodes(sc, g, g.value.n1) { (w, us) =>
+          val top = new TopK(k)
+          us.foreach { u =>
+            val n = w.walk(u, upper = true)
+            (0 until n).foreach(i => top.offer(w.weight(i), u.toLong << 32 | w.nbr(i)))
+          }
+          top.heap.iterator.asScala
+        }.collect()
+        val pids = g.value.pids
+        tops.sorted(bestFirst).iterator.take(math.min(k, Int.MaxValue).toInt)
+          .map { case (_, e) => (pids((e >>> 32).toInt), pids(e.toInt)) }
+          .toSeq.toDF("p1", "p2")
+    }
   }
 
   /** Weighted Edge Pruning: keep edges with weight ≥ factor · global mean.

@@ -1,7 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ERMode, MetaBlocking}
+import repro.core.MetaBlocking
 import repro.core.MetaBlocking.{NodeCombine, ThresholdKind, WeightScheme}
 import repro.data.ERData
 import repro.eval.Metrics
@@ -189,8 +189,8 @@ object Experiments {
       millis: Long)
 
   /** Scaling: blocker wall-clock vs. parallelism, and meta-blocking alone
-    * (`MetaBlocking.edges` + `wnp`) over the blocker's assignments. The
-    * `millis` are one-shot, cold-JIT timings.
+    * (`MetaBlocking.candidates`, the fused pass the blocker runs) over the
+    * blocker's assignments. The `millis` are one-shot, cold-JIT timings.
     */
   def table4(
       spark: SparkSession,
@@ -223,9 +223,7 @@ object Experiments {
     val b = SparkERPipeline.blocker(ds.profiles, blast.copy(pruning = PruningStrategy.NoPruning))
     val (c, ms) = timed {
       MetaBlocking
-        .wnp(
-          MetaBlocking.edges(b.assignments, ERMode.CleanClean, WeightScheme.CBS, useEntropy = true),
-          ThresholdKind.MaxFraction(0.5), NodeCombine.Avg)
+        .candidates(b.assignments, blast.mode, blast.weightScheme, blast.useEntropy, blast.pruning)
         .count()
     }
     sweep :+ T4Row("meta-blocking only", 0, n, c, ms)

@@ -158,8 +158,11 @@ object Similarity {
     prev(b.length)
   }
 
+  /** 1 − levenshtein(a,b)/max(|a|,|b|). Two empty texts score 0, as they
+    * do under Jaccard and cosine: two profiles without text do not match.
+    */
   def normalizedLevenshtein(a: String, b: String): Double = {
     val m = math.max(a.length, b.length)
-    if (m == 0) 1.0 else 1.0 - levenshtein(a, b).toDouble / m
+    if (m == 0) 0.0 else 1.0 - levenshtein(a, b).toDouble / m
   }
 }

@@ -2,7 +2,7 @@ package repro.pipeline
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.core._
-import repro.core.MetaBlocking.{NodeCombine, ThresholdKind, WeightScheme}
+import repro.core.MetaBlocking.{ThresholdKind, WeightScheme}
 import repro.clustering.EntityClusterer
 import repro.lsh.AttributePartitioner
 import repro.matching.{EntityMatcher, Similarity}
@@ -15,13 +15,15 @@ import repro.matching.{EntityMatcher, Similarity}
   * downstream is computed exactly once, with an eager `localCheckpoint()`.
   * These are the KV table, the raw token-blocking assignments, the purged
   * and filtered assignments (each stage joins its input with an aggregate
-  * over it), the valid `assignments`, the weighted `edges` when
-  * meta-blocking runs (pruning reads them up to three times), the
-  * `candidates` and the `matches`. A checkpoint cuts the lineage, so each
-  * later query plans one `LogicalRDD` leaf. `cache()` is not used: a cached
-  * relation keeps its whole source plan, so every later query re-plans and
-  * re-describes the nested tree below it, and the entries stay in the
-  * session's cache manager after the call returns. The cost is the one
+  * over it), the valid `assignments`, the `candidates` and the `matches`.
+  * The weighted blocking graph is neither checkpointed nor built:
+  * [[MetaBlocking.candidates]] prunes inside its node-centric walk over the
+  * broadcast block index and emits only the surviving pairs. A checkpoint
+  * cuts the lineage, so each later query plans one `LogicalRDD` leaf.
+  * `cache()` is not used: a cached relation keeps its whole source plan,
+  * so every later query re-plans and re-describes the nested tree below
+  * it, and the entries stay in the session's cache manager after the call
+  * returns. The cost is the one
   * [[repro.clustering.ConnectedComponents]] already pays per round: local
   * checkpoints sit in executor memory and disk, are not fault tolerant (a
   * lost executor loses them, and queries over them fail), and Spark's
@@ -29,18 +31,11 @@ import repro.matching.{EntityMatcher, Similarity}
   */
 object SparkERPipeline {
 
-  /** Graph pruning strategy for the meta-blocking stage. */
-  sealed trait PruningStrategy
-  object PruningStrategy {
-    /** No meta-blocking: all block-derived comparisons survive. */
-    case object NoPruning extends PruningStrategy
-    final case class Wep(factor: Double = 1.0) extends PruningStrategy
-    final case class Wnp(
-        kind: ThresholdKind = ThresholdKind.AvgWeight,
-        combine: NodeCombine = NodeCombine.Or) extends PruningStrategy
-    final case class Cep(k: Long) extends PruningStrategy
-    final case class Cnp(k: Int) extends PruningStrategy
-  }
+  /** Graph pruning strategy for the meta-blocking stage; defined in
+    * [[MetaBlocking]], which runs it.
+    */
+  type PruningStrategy = MetaBlocking.PruningStrategy
+  val PruningStrategy: MetaBlocking.PruningStrategy.type = MetaBlocking.PruningStrategy
 
   /** Attribute-partitioning choice for the blocking keys. */
   sealed trait SchemaMode
@@ -108,6 +103,9 @@ object SparkERPipeline {
   /** Blocker (Fig 4): loose schema generation (optional) → token blocking
     * → purging → filtering → meta-blocking → candidate pairs. The input is
     * first checked with [[Profiles.validate]], which also counts it.
+    * `NoPruning` takes every block comparison
+    * ([[TokenBlocking.comparisons]]); every other strategy runs the fused
+    * two-pass meta-blocking of [[MetaBlocking.candidates]].
     */
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession
@@ -132,21 +130,8 @@ object SparkERPipeline {
     val assignments = TokenBlocking.validBlocks(filtered, cfg.mode).localCheckpoint()
     val nBlocks = assignments.select("key").distinct().count()
 
-    val candidates = cfg.pruning match {
-      case PruningStrategy.NoPruning =>
-        TokenBlocking.comparisons(assignments, cfg.mode)
-      case p =>
-        val edges = MetaBlocking
-          .edges(assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy)
-          .localCheckpoint()
-        (p match {
-          case PruningStrategy.Wep(f) => MetaBlocking.wep(edges, f)
-          case PruningStrategy.Wnp(kind, combine) => MetaBlocking.wnp(edges, kind, combine)
-          case PruningStrategy.Cep(k) => MetaBlocking.cep(edges, k)
-          case PruningStrategy.Cnp(k) => MetaBlocking.cnp(edges, k)
-          case PruningStrategy.NoPruning => edges // unreachable
-        }).select("p1", "p2")
-    }
+    val candidates = MetaBlocking.candidates(
+      assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy, cfg.pruning)
     BlockerResult(clustersDf, assignments, candidates.localCheckpoint(), nBlocks)
   }
 

@@ -1,17 +1,18 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.avg
 import repro.core.MetaBlocking._
-import repro.pipeline.SparkERPipeline.PruningStrategy
 import repro.{Props, SparkSpec}
 
 import scala.util.Random
 
-/** `MetaBlocking.edges` over small random block collections, in both ER
-  * modes, with CBS and JS, entropy on and off: it equals the self-join
-  * reference, its weights do not depend on how the assignments are
-  * partitioned or ordered, and no pruning strategy yields a pair that the
-  * blocks do not.
+/** `MetaBlocking.edges` and `MetaBlocking.candidates` over small random
+  * block collections, in both ER modes, with CBS and JS, entropy on and
+  * off: `edges` equals the self-join reference, `candidates` equals the
+  * DataFrame pruning functions applied to `edges`, neither depends on how
+  * the assignments are partitioned or ordered, and no pruning strategy
+  * yields a pair that the blocks do not.
   */
 class MetaBlockingPropertySpec extends SparkSpec with Props {
   import spark.implicits._
@@ -19,6 +20,28 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
   private val modes = Seq(ERMode.CleanClean, ERMode.Dirty)
   private val weightings =
     for (s <- Seq(WeightScheme.CBS, WeightScheme.JS); e <- Seq(false, true)) yield (s, e)
+
+  private val strategies = Seq(
+    PruningStrategy.Wep(),
+    PruningStrategy.Wep(0.5),
+    PruningStrategy.Wnp(),
+    PruningStrategy.Wnp(ThresholdKind.AvgWeight, NodeCombine.And),
+    PruningStrategy.Wnp(ThresholdKind.AvgWeight, NodeCombine.Avg),
+    PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg),
+    PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Or),
+    PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.8), NodeCombine.And),
+    PruningStrategy.Cep(3),
+    PruningStrategy.Cep(Long.MaxValue),
+    PruningStrategy.Cnp(1),
+    PruningStrategy.Cnp(2))
+
+  /** One strategy per threshold computation of the fused path. */
+  private val onePerPath = Seq(
+    PruningStrategy.Wep(),
+    PruningStrategy.Wnp(),
+    PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg),
+    PruningStrategy.Cep(3),
+    PruningStrategy.Cnp(2))
 
   private def edgeMap(df: DataFrame): Map[(Long, Long), Double] =
     df.select("p1", "p2", "weight").as[(Long, Long, Double)].collect()
@@ -32,6 +55,54 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
     */
   private def assignments(input: (Seq[Profile], Seq[(String, Int)])): DataFrame =
     RandomBlocks.blockings(spark, input._1, input._2).last
+
+  /** The DataFrame pruning function of `s` over the edges `e`. */
+  private def reference(e: DataFrame, s: PruningStrategy): DataFrame = s match {
+    case PruningStrategy.Wep(f) => wep(e, f)
+    case PruningStrategy.Wnp(kind, combine) => wnp(e, kind, combine)
+    case PruningStrategy.Cep(k) => cep(e, k)
+    case PruningStrategy.Cnp(k) => cnp(e, k)
+    case PruningStrategy.NoPruning => e
+  }
+
+  /** Where `got` and `want` differ on an edge, `s` must compare its weight
+    * with a threshold that is a floating-point sum (WEP's global mean, or
+    * a node's mean under AvgWeight), and the weight must be within 1e-9 of
+    * it: the two sides add the same weights in different orders. The
+    * message shows the edge with the threshold from Spark's `avg` and from
+    * a sum in edge order.
+    */
+  private def assertSameUpToSumOrder(
+      got: Set[(Long, Long)],
+      want: Set[(Long, Long)],
+      weights: Map[(Long, Long), Double],
+      s: PruningStrategy,
+      clue: String): Unit = {
+    val diff = (got -- want) ++ (want -- got)
+    if (diff.nonEmpty) {
+      val ordered = weights.toSeq.sortBy(_._1)
+      def mean(ws: Seq[Double]) = ws.foldLeft(0.0)(_ + _) / ws.size
+      def nodeMean(n: Long) = mean(ordered.collect { case ((a, b), w) if a == n || b == n => w })
+      val e = weights.toSeq.map { case ((a, b), w) => (a, b, w) }.toDF("p1", "p2", "weight")
+      diff.foreach { case edge @ (p1, p2) =>
+        val w = weights(edge)
+        val (sparkTh, orderedTh) = s match {
+          case PruningStrategy.Wep(f) =>
+            val m = e.agg(avg("weight")).first().getDouble(0)
+            (Seq(f * m), Seq(f * mean(ordered.map(_._2))))
+          case PruningStrategy.Wnp(ThresholdKind.AvgWeight, _) =>
+            val th = nodeThresholds(e, ThresholdKind.AvgWeight).as[(Long, Double)].collect().toMap
+            val (t1, t2) = (th(p1), th(p2))
+            val (o1, o2) = (nodeMean(p1), nodeMean(p2))
+            (Seq(t1, t2, (t1 + t2) / 2), Seq(o1, o2, (o1 + o2) / 2))
+          case _ => fail(s"$clue $s: $edge kept by ${if (got(edge)) "candidates" else "the reference"} only")
+        }
+        assert(sparkTh.exists(t => math.abs(w - t) <= 1e-9),
+          s"$clue $s: edge $edge of weight $w, thresholds ${sparkTh.mkString(", ")} (Spark avg) " +
+            s"and ${orderedTh.mkString(", ")} (edge order)")
+      }
+    }
+  }
 
   test("property: edges equal the self-join reference") {
     forAllG(RandomBlocks.genProfiles, n = 5) { input =>
@@ -63,30 +134,56 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
   }
 
   test("property: every pruning strategy keeps a subset of the block comparisons") {
-    val strategies = Seq(
-      PruningStrategy.Wep(),
-      PruningStrategy.Wnp(),
-      PruningStrategy.Wnp(ThresholdKind.AvgWeight, NodeCombine.And),
-      PruningStrategy.Wnp(ThresholdKind.MaxFraction(0.5), NodeCombine.Avg),
-      PruningStrategy.Cep(3),
-      PruningStrategy.Cnp(1))
     forAllG(RandomBlocks.genProfiles, n = 4) { input =>
       val a = assignments(input)
       for (mode <- modes) {
         val unpruned = pairs(TokenBlocking.comparisons(a, mode))
-        val e = edges(a, mode, WeightScheme.CBS, useEntropy = true).cache()
-        assert(pairs(e) == unpruned)
-        strategies.foreach { s =>
-          val kept = pairs(s match {
-            case PruningStrategy.Wep(f) => wep(e, f)
-            case PruningStrategy.Wnp(kind, combine) => wnp(e, kind, combine)
-            case PruningStrategy.Cep(k) => cep(e, k)
-            case PruningStrategy.Cnp(k) => cnp(e, k)
-            case PruningStrategy.NoPruning => e
-          })
+        assert(pairs(edges(a, mode, WeightScheme.CBS, useEntropy = true)) == unpruned)
+        (PruningStrategy.NoPruning +: strategies).foreach { s =>
+          val kept = pairs(candidates(a, mode, WeightScheme.CBS, useEntropy = true, s))
           assert(kept.subsetOf(unpruned), s"$mode $s")
         }
-        e.unpersist()
+      }
+    }
+  }
+
+  test("property: fused candidates equal the pruning functions applied to edges") {
+    forAllG(RandomBlocks.genProfiles, n = 3) { input =>
+      val a = assignments(input).localCheckpoint()
+      for (mode <- modes; (scheme, useEntropy) <- weightings) {
+        val e = edges(a, mode, scheme, useEntropy).localCheckpoint()
+        val weights = edgeMap(e)
+        strategies.foreach { s =>
+          assertSameUpToSumOrder(
+            pairs(candidates(a, mode, scheme, useEntropy, s)), pairs(reference(e, s)), weights, s,
+            s"$mode $scheme entropy=$useEntropy")
+        }
+      }
+    }
+  }
+
+  test("property: fused candidates are bit-identical under repartitioning and row order") {
+    forAllG(RandomBlocks.genProfiles, n = 3) { input =>
+      val a = assignments(input)
+      val shuffled = new Random(input._1.size).shuffle(
+        a.as[(String, Int, Double, Long, Int)].collect().toSeq)
+        .toDF(a.columns.toIndexedSeq: _*)
+      for (mode <- modes; scheme <- Seq(WeightScheme.CBS, WeightScheme.JS); s <- onePerPath) {
+        val base = pairs(candidates(a, mode, scheme, useEntropy = true, s))
+        for (other <- Seq(a.repartition(3), shuffled.repartition(2)))
+          assert(pairs(candidates(other, mode, scheme, useEntropy = true, s)) == base,
+            s"$mode $scheme $s")
+      }
+    }
+  }
+
+  test("empty assignments give no edges and no candidates") {
+    val a = RandomBlocks.blockings(spark, Seq(Profile(1L, 1, Map("name" -> "sony tv"))),
+      Seq("1::name" -> 0)).last.limit(0)
+    for (mode <- modes; (scheme, useEntropy) <- weightings) {
+      assert(edges(a, mode, scheme, useEntropy).isEmpty, s"$mode $scheme entropy=$useEntropy")
+      (PruningStrategy.NoPruning +: strategies).foreach { s =>
+        assert(candidates(a, mode, scheme, useEntropy, s).isEmpty, s"$mode $scheme $s")
       }
     }
   }

@@ -124,8 +124,9 @@ class SimilaritySpec extends AnyFunSuite with Props {
     assert(normalizedLevenshtein("abc", "abc") == 1.0)
   }
 
-  test("normalizedLevenshtein both empty = 1") {
-    assert(normalizedLevenshtein("", "") == 1.0)
+  test("normalizedLevenshtein both empty = 0") {
+    assert(normalizedLevenshtein("", "") == 0.0)
+    assert(jaccardTokens("", "") == 0.0 && cosineTF("", "") == 0.0)
   }
 
   test("normalizedLevenshtein disjoint same length") {
