@@ -14,8 +14,9 @@ import repro.lsh.UnionFind
   *    hundred to a few thousand), the edges are collected and closed with
   *    [[repro.lsh.UnionFind]] on the driver, and the labels come back as a
   *    local table with a `broadcast` hint, so a join to all profile ids
-  *    ships them to the executors instead of shuffling the profiles. This
-  *    costs two Spark jobs (count, collect) instead of two per
+  *    ships them to the executors instead of shuffling the profiles. One
+  *    bounded collect (at most bound + 1 edges) both reads the edges and
+  *    tells the two paths apart, instead of two Spark jobs per
   *    propagation round. The driver holds the collected edges, the
   *    union-find map and the label table at once. Measured at the bound on
   *    a 64-bit JVM, that is 63 MB of heap when the 100k edges touch 198k
@@ -35,14 +36,21 @@ object ConnectedComponents {
   /** @param edges (src, dst) pairs, any orientation, duplicates allowed
     * @return (id, component) — component = min reachable id
     */
-  def run(edges: DataFrame): DataFrame = {
-    val pairs = edges.select(col("src").cast("long"), col("dst").cast("long"))
-    if (pairs.count() > DriverEdgeBound) propagate(edges)
+  def run(edges: DataFrame): DataFrame = run(edges, DriverEdgeBound.toInt)
+
+  /** [[run]] with the driver path taken up to `bound` edges. */
+  private[clustering] def run(edges: DataFrame, bound: Int): DataFrame = {
+    val spark = edges.sparkSession
+    import spark.implicits._
+    val pairs = edges
+      .select(col("src").cast("long"), col("dst").cast("long"))
+      .as[(Long, Long)]
+      .limit(bound + 1)
+      .collect()
+    if (pairs.length > bound) propagate(edges)
     else {
-      val spark = edges.sparkSession
-      import spark.implicits._
       val uf = new UnionFind[Long]
-      pairs.as[(Long, Long)].collect().foreach { case (a, b) => uf.union(a, b) }
+      pairs.foreach { case (a, b) => uf.union(a, b) }
       val labels = uf.components.valuesIterator.flatMap { members =>
         val least = members.min
         members.iterator.map(_ -> least)

@@ -9,8 +9,10 @@ import org.apache.spark.sql.functions._
   *
   * `maxFraction` generalizes the paper's 1/2; the comparison is strict
   * (`size > maxFraction·|P|`), so at the default a block holding exactly
-  * half the profiles survives. Block sizes come from
-  * [[TokenBlocking.blockStats]].
+  * half the profiles survives. Block sizes are the `size` window column of
+  * [[TokenBlocking.withBlockStats]], so purging is one pass over its input
+  * with no aggregate joined back. It drops whole blocks, so the sizes of
+  * the blocks it keeps are unchanged.
   */
 object BlockPurging {
 
@@ -22,7 +24,9 @@ object BlockPurging {
       maxFraction: Double = DefaultMaxFraction): DataFrame = {
     require(maxFraction > 0, s"maxFraction must be positive, got $maxFraction")
     val limit = maxFraction * totalProfiles
-    val keep = TokenBlocking.blockStats(assignments).where(col("size") <= limit).select("key")
-    assignments.join(keep, "key")
+    TokenBlocking
+      .withBlockStats(assignments)
+      .where(col("size") <= limit)
+      .drop(TokenBlocking.BlockStatColumns: _*)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** Token blocking (Fig 1b) and loose-schema token blocking (Fig 2b).
@@ -24,9 +25,15 @@ import org.apache.spark.sql.functions._
   * the invariant holds for their outputs too. It is what lets the block
   * statistics use plain counts.
   *
+  * Both blocking functions hash-partition their rows by `key` before the
+  * `distinct()`, which reuses that exchange, so the output arrives
+  * clustered by block.
+  *
   * The blocker reads each block fact from one helper here: the per-block
-  * sizes from [[blockStats]] (purging, filtering and [[validBlocks]]) and
-  * the member pairs of each block from `blockPairs` ([[comparisons]]).
+  * counts from [[withBlockStats]], as window columns over the block
+  * (purging, filtering and [[validBlocks]]; no aggregate is joined back,
+  * and on input clustered by key the window needs no shuffle), and the
+  * member pairs of each block from `blockPairs` ([[comparisons]]).
   */
 object TokenBlocking {
 
@@ -40,6 +47,7 @@ object TokenBlocking {
         lit(1.0) as "entropy",
         col("pid"),
         col("source"))
+      .repartition(col("key"))
       .distinct()
 
   /** Loose-schema token blocking: the key is the token concatenated with
@@ -69,19 +77,29 @@ object TokenBlocking {
         col("entropy"),
         col("pid"),
         col("source"))
+      .repartition(col("key"))
       .distinct()
 
-  /** Per-block statistics `(key, size, nA, nB)`: members, members from
-    * source 1 and members from any other source. Plain counts, which equal
-    * distinct-pid counts by the `(key, pid)` invariant.
+  /** The names of the per-block counts that [[withBlockStats]] adds. */
+  private[core] val BlockStatColumns: Seq[String] = Seq("size", "nA", "nB")
+
+  /** `assignments` with the counts of its block on every row, as window
+    * columns over `Window.partitionBy("key")`: members (`size`), members
+    * from source 1 (`nA`) and members from any other source (`nB`). Plain
+    * counts, which equal distinct-pid counts by the `(key, pid)` invariant.
     */
+  private[core] def withBlockStats(assignments: DataFrame): DataFrame = {
+    val byKey = Window.partitionBy("key")
+    assignments.select(
+      col("*"),
+      count(lit(1)).over(byKey) as "size",
+      count(when(col("source") === 1, lit(1))).over(byKey) as "nA",
+      count(when(col("source") =!= 1, lit(1))).over(byKey) as "nB")
+  }
+
+  /** Per-block statistics `(key, size, nA, nB)`, one row per block. */
   def blockStats(assignments: DataFrame): DataFrame =
-    assignments
-      .groupBy("key")
-      .agg(
-        count(lit(1)) as "size",
-        count(when(col("source") === 1, lit(1))) as "nA",
-        count(when(col("source") =!= 1, lit(1))) as "nB")
+    withBlockStats(assignments).select(("key" +: BlockStatColumns).map(col): _*).distinct()
 
   /** Drop blocks that cannot generate a comparison: singletons, and (in
     * clean-clean ER) blocks whose members all come from one source.
@@ -91,7 +109,7 @@ object TokenBlocking {
       case ERMode.CleanClean => col("nA") > 0 && col("nB") > 0
       case ERMode.Dirty => col("size") >= 2
     }
-    assignments.join(blockStats(assignments).where(valid).select("key"), "key")
+    withBlockStats(assignments).where(valid).drop(BlockStatColumns: _*)
   }
 
   /** Every comparison each block yields, as `(key, p1, p2, entropy)` with

@@ -13,9 +13,13 @@ import repro.matching.{EntityMatcher, Similarity}
   *
   * Materialisation rule: every stage output that is read more than once
   * downstream is computed exactly once, with an eager `localCheckpoint()`.
-  * These are the KV table, the raw token-blocking assignments, the purged
-  * and filtered assignments (each stage joins its input with an aggregate
-  * over it), the valid `assignments`, the `candidates` and the `matches`.
+  * These are the KV table, the valid `assignments`, the `candidates` and
+  * the `matches`. Token blocking, purging, filtering and `validBlocks` run
+  * as one query behind the `assignments` checkpoint: each stage reads its
+  * block counts as window columns ([[TokenBlocking.withBlockStats]]) and
+  * reads its input once, so the chain shuffles three times (by key in
+  * token blocking, by pid for filtering's rank, by key for the valid
+  * counts) and joins nothing.
   * The weighted blocking graph is neither checkpointed nor built:
   * [[MetaBlocking.candidates]] prunes inside its node-centric walk over the
   * broadcast block index and emits only the surviving pairs. A checkpoint
@@ -92,8 +96,13 @@ object SparkERPipeline {
   final case class BlockerResult(
       clusters: Option[DataFrame],
       assignments: DataFrame,
-      candidates: DataFrame,
-      nBlocks: Long)
+      candidates: DataFrame) {
+
+    /** Number of blocks left after purging, filtering and `validBlocks`,
+      * counted on first use: [[run]] does not read it.
+      */
+    lazy val nBlocks: Long = assignments.select("key").distinct().count()
+  }
 
   final case class PipelineResult(
       blocker: BlockerResult,
@@ -123,16 +132,13 @@ object SparkERPipeline {
         (Some(c), TokenBlocking.looseSchema(kv, c, cfg.minTokenLength))
     }
 
-    val purged = BlockPurging
-      .purge(raw.localCheckpoint(), totalProfiles, cfg.purgeFactor)
-      .localCheckpoint()
-    val filtered = BlockFiltering.filter(purged, cfg.filterRatio).localCheckpoint()
+    val purged = BlockPurging.purge(raw, totalProfiles, cfg.purgeFactor)
+    val filtered = BlockFiltering.filter(purged, cfg.filterRatio)
     val assignments = TokenBlocking.validBlocks(filtered, cfg.mode).localCheckpoint()
-    val nBlocks = assignments.select("key").distinct().count()
 
     val candidates = MetaBlocking.candidates(
       assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy, cfg.pruning)
-    BlockerResult(clustersDf, assignments, candidates.localCheckpoint(), nBlocks)
+    BlockerResult(clustersDf, assignments, candidates.localCheckpoint())
   }
 
   /** Full stack: blocker → matcher → clusterer. */

@@ -1,12 +1,15 @@
 package repro.clustering
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.LogicalRDD
 import repro.SparkSpec
 import repro.lsh.UnionFind
 
 /** Every case runs against `run`, which closes these small graphs on the
   * driver, and against `propagate`, the distributed path `run` takes above
-  * `ConnectedComponents.DriverEdgeBound` edges.
+  * `ConnectedComponents.DriverEdgeBound` edges. One more case moves the
+  * bound to the edge count and checks that `run` switches paths there.
   */
 class ConnectedComponentsSpec extends SparkSpec {
   import spark.implicits._
@@ -80,5 +83,19 @@ class ConnectedComponentsSpec extends SparkSpec {
       assert(labels(4L) == 4L && labels(7L) == 4L && labels(9L) == 4L)
       assert(labels(20L) == 20L && labels(25L) == 20L)
     }
+  }
+
+  test("the driver closes a graph of exactly the bound; one edge more propagates") {
+    val edges = Seq((1L, 2L), (2L, 3L), (3L, 1L), (10L, 11L), (10L, 11L)).toDF("src", "dst")
+    val want = Map(1L -> 1L, 2L -> 1L, 3L -> 1L, 10L -> 10L, 11L -> 10L)
+    // The driver path returns a local label table, propagation reads its
+    // last round's checkpoint.
+    def reads(df: DataFrame) = df.queryExecution.analyzed.collectLeaves().map(_.getClass).toSet
+    val atBound = ConnectedComponents.run(edges, bound = 5)
+    assert(reads(atBound) == Set(classOf[LocalRelation]))
+    val above = ConnectedComponents.run(edges, bound = 4)
+    assert(reads(above) == Set(classOf[LogicalRDD]))
+    for (labels <- Seq(atBound, above))
+      assert(labels.as[(Long, Long)].collect().toMap == want)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
@@ -10,7 +11,8 @@ import repro.{Props, SparkSpec}
   * only because assignments are distinct per `(key, pid)`. These properties
   * check that invariant on both blocking functions, and check the
   * statistics and the three stages that read them against `countDistinct`
-  * formulations, over small random profile sets.
+  * formulations, over small random profile sets: each stage alone, and the
+  * three chained as the blocker runs them.
   */
 class BlockStatsPropertySpec extends SparkSpec with Props {
   import spark.implicits._
@@ -22,6 +24,16 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
     input <- RandomBlocks.genProfiles
     factor <- Gen.oneOf(0.3, 0.5, 1.0)
     ratio <- Gen.oneOf(0.5, 0.8, 1.0)
+  } yield (input._1, input._2, factor, ratio)
+
+  /** As `genInput`, but each purge factor makes blocks sit exactly at the
+    * limit (half or all of the profiles) and filtering always drops some
+    * memberships, so that every stage of the chain has work left to do.
+    */
+  private val genChainInput = for {
+    input <- RandomBlocks.genProfiles
+    factor <- Gen.oneOf(0.5, 1.0)
+    ratio <- Gen.oneOf(0.3, 0.5, 0.8)
   } yield (input._1, input._2, factor, ratio)
 
   private def blockings(profiles: Seq[Profile], clusters: Seq[(String, Int)]): Seq[DataFrame] =
@@ -82,6 +94,24 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
         assert(rows(BlockFiltering.filter(a, ratio)) == rows(refFilter(a, ratio)))
         for (mode <- Seq(ERMode.CleanClean, ERMode.Dirty))
           assert(rows(TokenBlocking.validBlocks(a, mode)) == rows(refValid(a, mode)))
+      }
+    }
+  }
+
+  test("property: the chained purge, filter and validBlocks equal the composed formulations") {
+    forAllG(genChainInput, n = 8) { case (profiles, clusters, factor, ratio) =>
+      val total = profiles.size.toLong
+      blockings(profiles, clusters).foreach { raw =>
+        val filtered = refFilter(refPurge(raw, total, factor), ratio).localCheckpoint()
+        for (mode <- Seq(ERMode.CleanClean, ERMode.Dirty)) {
+          val want = rows(refValid(filtered, mode))
+          for (input <- raw +: RandomBlocks.layouts(raw, profiles.size)) {
+            val chain = TokenBlocking.validBlocks(
+              BlockFiltering.filter(BlockPurging.purge(input, total, factor), ratio), mode)
+            assert(!chain.queryExecution.analyzed.exists(_.isInstanceOf[LogicalRDD]))
+            assert(rows(chain) == want, s"$mode factor=$factor ratio=$ratio")
+          }
+        }
       }
     }
   }

@@ -5,8 +5,6 @@ import org.apache.spark.sql.functions.avg
 import repro.core.MetaBlocking._
 import repro.{Props, SparkSpec}
 
-import scala.util.Random
-
 /** `MetaBlocking.edges` and `MetaBlocking.candidates` over small random
   * block collections, in both ER modes, with CBS and JS, entropy on and
   * off: `edges` equals the self-join reference, `candidates` equals the
@@ -121,12 +119,9 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
   test("property: edge weights are bit-identical under repartitioning and row order") {
     forAllG(RandomBlocks.genProfiles, n = 5) { input =>
       val a = assignments(input)
-      val shuffled = new Random(input._1.size).shuffle(
-        a.as[(String, Int, Double, Long, Int)].collect().toSeq)
-        .toDF(a.columns.toIndexedSeq: _*)
       for (mode <- modes; (scheme, useEntropy) <- weightings) {
         val base = edgeMap(edges(a, mode, scheme, useEntropy))
-        for (other <- Seq(a.repartition(3), shuffled.repartition(2)))
+        for (other <- RandomBlocks.layouts(a, input._1.size))
           assert(edgeMap(edges(other, mode, scheme, useEntropy)) == base,
             s"$mode $scheme entropy=$useEntropy")
       }
@@ -165,12 +160,9 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
   test("property: fused candidates are bit-identical under repartitioning and row order") {
     forAllG(RandomBlocks.genProfiles, n = 3) { input =>
       val a = assignments(input)
-      val shuffled = new Random(input._1.size).shuffle(
-        a.as[(String, Int, Double, Long, Int)].collect().toSeq)
-        .toDF(a.columns.toIndexedSeq: _*)
       for (mode <- modes; scheme <- Seq(WeightScheme.CBS, WeightScheme.JS); s <- onePerPath) {
         val base = pairs(candidates(a, mode, scheme, useEntropy = true, s))
-        for (other <- Seq(a.repartition(3), shuffled.repartition(2)))
+        for (other <- RandomBlocks.layouts(a, input._1.size))
           assert(pairs(candidates(other, mode, scheme, useEntropy = true, s)) == base,
             s"$mode $scheme $s")
       }

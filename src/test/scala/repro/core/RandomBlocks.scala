@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalacheck.Gen
 
+import scala.util.Random
+
 /** Small random inputs for the blocker's property tests: 1 to 10 profiles
   * with unique ids over a small vocabulary, and a random partitioning of
   * their attributes into loose-schema clusters.
@@ -54,5 +56,16 @@ object RandomBlocks {
     val clustersDf = clusters.map { case (k, c) => (k, c, (c + 1) / 3.0) }
       .toDF("attrKey", "cluster", "entropy")
     Seq(TokenBlocking.schemaAgnostic(kv), TokenBlocking.looseSchema(kv, clustersDf))
+  }
+
+  /** The rows of `a` in two other layouts: repartitioned into 3, and
+    * collected, shuffled by `seed` and repartitioned into 2.
+    */
+  def layouts(a: DataFrame, seed: Int): Seq[DataFrame] = {
+    import a.sparkSession.implicits._
+    val shuffled = new Random(seed)
+      .shuffle(a.as[(String, Int, Double, Long, Int)].collect().toSeq)
+      .toDF(a.columns.toIndexedSeq: _*)
+    Seq(a.repartition(3), shuffled.repartition(2))
   }
 }

@@ -1,5 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 
@@ -8,6 +13,13 @@ class TokenBlockingSpec extends SparkSpec {
 
   private lazy val kv = Profiles.toKV(Fixtures.figure1(spark))
   private lazy val agn = TokenBlocking.schemaAgnostic(kv)
+
+  /** Figure 1's attributes in two partitions: names/titles/abstracts in 1,
+    * authors in 2.
+    */
+  private lazy val clusters = Seq(
+    ("1::name", 1, 0.4), ("1::authors", 2, 0.8), ("1::abstract", 1, 0.4),
+    ("2::title", 1, 0.4), ("2::author", 2, 0.8)).toDF("attrKey", "cluster", "entropy")
 
   test("figure 1b: exactly the five expected blocking keys") {
     val keys = agn.select("key").distinct().as[String].collect().toSet
@@ -46,9 +58,6 @@ class TokenBlockingSpec extends SparkSpec {
   }
 
   test("looseSchema keys carry the partition id") {
-    val clusters = Seq(
-      ("1::name", 1, 0.4), ("1::authors", 2, 0.8), ("1::abstract", 1, 0.4),
-      ("2::title", 1, 0.4), ("2::author", 2, 0.8)).toDF("attrKey", "cluster", "entropy")
     val loose = TokenBlocking.looseSchema(kv, clusters)
     val keys = loose.select("key").distinct().as[String].collect().toSet
     // "simonini" splits: authors/author cluster (2) for p1,p3 — and p2's
@@ -62,8 +71,6 @@ class TokenBlockingSpec extends SparkSpec {
   }
 
   test("looseSchema attaches the cluster entropy to each assignment") {
-    val clusters = Seq(("1::name", 1, 0.4), ("1::authors", 2, 0.8), ("1::abstract", 1, 0.4),
-      ("2::title", 1, 0.4), ("2::author", 2, 0.8)).toDF("attrKey", "cluster", "entropy")
     val loose = TokenBlocking.looseSchema(kv, clusters)
     val ent = loose.where($"key" === "simonini#2").select("entropy").as[Double].collect()
     assert(ent.forall(_ == 0.8))
@@ -153,5 +160,33 @@ class TokenBlockingSpec extends SparkSpec {
         |FROM assignments a JOIN assignments b ON a.key = b.key
         |WHERE CAST(a.pid AS BIGINT) < CAST(b.pid AS BIGINT)""".stripMargin,
       "assignments" -> agn.select("key", "pid"))
+  }
+
+  /** The physical plan of `df` before it runs: with AQE on, the adaptive
+    * plan's input plan with the exchanges its operators require added, and
+    * none of the rewrites made at run time.
+    */
+  private def plannedShape(df: DataFrame): SparkPlan = df.queryExecution.executedPlan match {
+    case adaptive: AdaptiveSparkPlanExec => adaptive.executedPlan
+    case plan => plan
+  }
+
+  test("the token → purge → filter → valid chain plans no join and at most three shuffles") {
+    val tokenings = Seq(
+      "agnostic" -> TokenBlocking.schemaAgnostic(kv),
+      "loose" -> TokenBlocking.looseSchema(kv, clusters))
+    for ((name, raw) <- tokenings; mode <- Seq(ERMode.CleanClean, ERMode.Dirty)) {
+      val chain = TokenBlocking.validBlocks(
+        BlockFiltering.filter(BlockPurging.purge(raw, 4, 0.5), 0.8), mode)
+      val plan = plannedShape(chain)
+      val shuffles = plan.collect { case e: ShuffleExchangeExec => e }
+      // Loose token blocking joins the small cluster table as a broadcast;
+      // no stage after it joins anything.
+      val joins = plan.collect { case j: BaseJoinExec => j }
+      val allowed = if (name == "loose") 1 else 0
+      assert(joins.forall(_.isInstanceOf[BroadcastHashJoinExec]) && joins.size == allowed,
+        s"$name $mode joins:\n$plan")
+      assert(shuffles.size <= 3, s"$name $mode has ${shuffles.size} shuffles:\n$plan")
+    }
   }
 }
