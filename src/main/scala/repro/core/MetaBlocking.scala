@@ -488,11 +488,14 @@ object MetaBlocking {
     e.where(keep).select("p1", "p2", "weight")
   }
 
-  /** Cardinality Edge Pruning: keep the globally top-k edges. */
+  /** Cardinality Edge Pruning: keep the globally top-k edges. Spark plans
+    * the ordered limit as a top k per partition and a merge of those.
+    */
   def cep(edges: DataFrame, k: Long): DataFrame = {
     require(k > 0, s"k must be positive, got $k")
-    val w = Window.orderBy(col("weight").desc, col("p1").asc, col("p2").asc)
-    edges.withColumn("rnk", row_number().over(w)).where(col("rnk") <= k).drop("rnk")
+    edges
+      .orderBy(col("weight").desc, col("p1").asc, col("p2").asc)
+      .limit(math.min(k, Int.MaxValue).toInt)
   }
 
   /** Cardinality Node Pruning: each node retains its top-k edges; an edge

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** An entity profile: one record from one data source.
   *
@@ -16,28 +15,31 @@ import org.apache.spark.sql.functions._
   */
 final case class Profile(id: Long, source: Int, attributes: Map[String, String])
 
-/** Conversions between `Dataset[Profile]` and the exploded key-value
-  * DataFrame every blocker stage consumes.
+/** Conversions between `Dataset[Profile]` and the bag-of-words table every
+  * blocker stage consumes.
   *
-  * KV schema: `(pid: Long, source: Int, attr: String, value: String)` —
-  * one row per non-empty attribute value. `attrKey` combines source and
-  * attribute name (`"1::name"`) because loose-schema partitioning treats
-  * the same attribute name in different sources as distinct attributes.
+  * KV schema: `(pid: Long, source: Int, attrKey: String, token: String)` —
+  * one row per token occurrence of an attribute value, duplicates kept (an
+  * entropy counts occurrences). `attrKey` combines source and attribute
+  * name (`"1::name"`) because loose-schema partitioning treats the same
+  * attribute name in different sources as distinct attributes.
   */
 object Profiles {
 
-  /** Exploded (pid, source, attr, value) view of a profile collection. */
+  /** The (pid, source, attrKey, token) table of a profile collection: the
+    * one place values are tokenized, at [[Tokenizer.DefaultMinLength]].
+    */
   def toKV(profiles: Dataset[Profile]): DataFrame = {
     val spark = profiles.sparkSession
     import spark.implicits._
     profiles
       .flatMap { p =>
-        p.attributes.iterator
-          .filter { case (_, v) => v != null && v.nonEmpty }
-          .map { case (a, v) => (p.id, p.source, a, v) }
-          .toSeq
+        p.attributes.iterator.flatMap { case (a, v) =>
+          val attrKey = s"${p.source}::$a"
+          Tokenizer.tokenize(v).map(t => (p.id, p.source, attrKey, t))
+        }.toSeq
       }
-      .toDF("pid", "source", "attr", "value")
+      .toDF("pid", "source", "attrKey", "token")
   }
 
   /** Checks the input contract the blocker relies on and counts the
@@ -67,10 +69,6 @@ object Profiles {
     require(foreign.isEmpty, s"clean-clean ER takes sources 1 and 2 only; found source ${foreign.get}")
     n
   }
-
-  /** Qualified attribute key "source::attr" used by attribute partitioning. */
-  def withAttrKey(kv: DataFrame): DataFrame =
-    kv.withColumn("attrKey", concat(col("source").cast("string"), lit("::"), col("attr")))
 
   /** Parallelize a driver-side profile list (synthetic data is small). */
   def fromSeq(spark: SparkSession, ps: Seq[Profile], partitions: Int = 0): Dataset[Profile] = {

@@ -39,10 +39,14 @@ object TokenBlocking {
 
   /** Schema-agnostic token blocking: every token of every attribute is a
     * blocking key, schema information ignored (§1).
+    *
+    * Both blocking functions read the token table of [[Profiles.toKV]] and
+    * keep the tokens at least `minTokenLength` long.
     */
   def schemaAgnostic(kv: DataFrame, minTokenLength: Int = Tokenizer.DefaultMinLength): DataFrame =
-    kv.select(
-        Tokenizer.explodeTokens(col("value"), minTokenLength) as "key",
+    kv.where(Tokenizer.longEnough(col("token"), minTokenLength))
+      .select(
+        col("token") as "key",
         lit(0) as "cluster",
         lit(1.0) as "entropy",
         col("pid"),
@@ -62,15 +66,8 @@ object TokenBlocking {
       kv: DataFrame,
       clusters: DataFrame,
       minTokenLength: Int = Tokenizer.DefaultMinLength): DataFrame =
-    Profiles
-      .withAttrKey(kv)
+    kv.where(Tokenizer.longEnough(col("token"), minTokenLength))
       .join(broadcast(clusters), "attrKey")
-      .select(
-        Tokenizer.explodeTokens(col("value"), minTokenLength) as "token",
-        col("cluster"),
-        col("entropy"),
-        col("pid"),
-        col("source"))
       .select(
         concat(col("token"), lit("#"), col("cluster").cast("string")) as "key",
         col("cluster"),

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.{explode, udf}
+import org.apache.spark.sql.functions.udf
 
 /** Schema-agnostic tokenization.
   *
@@ -18,6 +18,12 @@ object Tokenizer {
 
   private val splitter = "[^\\p{L}\\p{N}]+".r
 
+  /** The length rule: a token's length is its `String.length`, in UTF-16
+    * units. Spark SQL's `length` counts code points instead, so a
+    * supplementary-plane letter such as "𝔸" is 2 here and 1 there.
+    */
+  private def keeps(token: String, minLength: Int): Boolean = token.length >= minLength
+
   /** Tokenize one raw value. Deterministic; preserves duplicates. */
   def tokenize(value: String, minLength: Int = DefaultMinLength): Seq[String] =
     if (value == null) Seq.empty
@@ -25,16 +31,12 @@ object Tokenizer {
       splitter
         .split(value.toLowerCase)
         .iterator
-        .filter(t => t.length >= minLength)
+        .filter(keeps(_, minLength))
         .toSeq
 
-  /** Distinct token set of one value — blocking keys are sets. */
-  def tokenSet(value: String, minLength: Int = DefaultMinLength): Set[String] =
-    tokenize(value, minLength).toSet
-
-  /** One row per token occurrence of the string column `value`, duplicates
-    * kept. Callers that need token sets follow it with `distinct()`.
+  /** Filter predicate: true for the tokens of the string column `token` that
+    * `tokenize` keeps at `minLength`.
     */
-  def explodeTokens(value: Column, minLength: Int = DefaultMinLength): Column =
-    explode(udf((v: String) => tokenize(v, minLength)).apply(value))
+  def longEnough(token: Column, minLength: Int): Column =
+    udf((t: String) => keeps(t, minLength)).apply(token)
 }

@@ -1,8 +1,6 @@
 package repro.lsh
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.{Profiles, Tokenizer}
 
 /** Loose Schema Generator — Attribute Partitioning (§2.1, Fig 2a).
   *
@@ -30,8 +28,8 @@ object AttributePartitioner {
   /** Knobs surfaced by the demo GUI: the clustering threshold is the one
     * the §4 walkthrough sweeps (1.0 ⇒ everything in the blob ⇒ plain
     * schema-agnostic blocking; ~0.3 ⇒ the "good" automatic partitions).
-    */
-  /** 64 bands of 2 rows ⇒ band-collision probability J², so a pair at the
+    *
+    * 64 bands of 2 rows ⇒ band-collision probability J², so a pair at the
     * default exact-Jaccard threshold 0.3 is proposed with probability
     * 1-(1-0.09)^64 ≈ 0.998 — LSH recall stays a no-op at this attribute
     * count while the exact filter keeps precision.
@@ -48,9 +46,7 @@ object AttributePartitioner {
   def attributeTokenSets(kv: DataFrame): Map[String, Set[String]] = {
     val spark = kv.sparkSession
     import spark.implicits._
-    Profiles
-      .withAttrKey(kv)
-      .select(col("attrKey"), Tokenizer.explodeTokens(col("value")) as "token")
+    kv.select("attrKey", "token")
       .distinct()
       .as[(String, String)]
       .collect()
@@ -113,29 +109,15 @@ object AttributePartitioner {
     * `(attrKey, cluster, entropy)` DataFrame [[repro.core.TokenBlocking.looseSchema]]
     * consumes.
     */
-  def clustersDF(
-      spark: SparkSession,
-      kv: DataFrame,
-      params: Params = Params(),
-      normalizeEntropy: Boolean = true): DataFrame = {
-    import spark.implicits._
-    val parts = partition(attributeTokenSets(kv), params)
-    val ent = Entropy.clusterEntropies(kv, parts, normalizeEntropy)
-    parts.toSeq
-      .map { case (attrKey, c) => (attrKey, c, ent.getOrElse(c, 1.0)) }
-      .toDF("attrKey", "cluster", "entropy")
-  }
+  def clustersDF(spark: SparkSession, kv: DataFrame, params: Params = Params()): DataFrame =
+    manualClustersDF(spark, kv, partition(attributeTokenSets(kv), params))
 
   /** A user-supplied manual partitioning (the demo's Fig 6c edit), as the
     * same `(attrKey, cluster, entropy)` DataFrame.
     */
-  def manualClustersDF(
-      spark: SparkSession,
-      kv: DataFrame,
-      clusters: Map[String, Int],
-      normalizeEntropy: Boolean = true): DataFrame = {
+  def manualClustersDF(spark: SparkSession, kv: DataFrame, clusters: Map[String, Int]): DataFrame = {
     import spark.implicits._
-    val ent = Entropy.clusterEntropies(kv, clusters, normalizeEntropy)
+    val ent = Entropy.clusterEntropies(kv, clusters)
     clusters.toSeq
       .map { case (attrKey, c) => (attrKey, c, ent.getOrElse(c, 1.0)) }
       .toDF("attrKey", "cluster", "entropy")

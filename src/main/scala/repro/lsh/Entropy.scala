@@ -2,7 +2,6 @@ package repro.lsh
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{Profiles, Tokenizer}
 
 /** Loose Schema Generator — Entropy Extractor (§2.1): "computes the
   * Shannon entropy for each cluster".
@@ -43,11 +42,8 @@ object Entropy {
     val bPart = spark.sparkContext.broadcast(partition)
     val clusterOf = udf((attrKey: String) => bPart.value.getOrElse(attrKey, 0))
     // Token *occurrences* (not distinct) — frequency matters for entropy.
-    val counts = Profiles
-      .withAttrKey(kv)
-      .select(
-        clusterOf(col("attrKey")) as "cluster",
-        Tokenizer.explodeTokens(col("value")) as "token")
+    val counts = kv
+      .select(clusterOf(col("attrKey")) as "cluster", col("token"))
       .groupBy("cluster", "token")
       .agg(count(lit(1)) as "cnt")
       .as[(Int, String, Long)]

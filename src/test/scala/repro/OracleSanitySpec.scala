@@ -10,15 +10,15 @@ import repro.data.ERData
 class OracleSanitySpec extends SparkSpec {
 
   private lazy val kv = Profiles.toKV(ERData.abtBuy(spark, nShared = 20, nOnlyA = 2, nOnlyB = 2).profiles)
-  private val sql = "SELECT source, attr, COUNT(*) AS cnt FROM kv GROUP BY source, attr"
+  private val sql = "SELECT attrKey, COUNT(*) AS cnt FROM kv GROUP BY attrKey"
 
   test("oracle agrees on a per-attribute count of generated profiles") {
-    val agg = kv.groupBy("source", "attr").agg(count(lit(1)) as "cnt")
+    val agg = kv.groupBy("attrKey").agg(count(lit(1)) as "cnt")
     Oracle.assertEquivalent(agg, sql, "kv" -> kv)
   }
 
   test("oracle catches a wrong result") {
-    val wrong = kv.groupBy("source", "attr").agg((count(lit(1)) + 1) as "cnt")
+    val wrong = kv.groupBy("attrKey").agg((count(lit(1)) + 1) as "cnt")
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(wrong, sql, "kv" -> kv)
     }

@@ -9,7 +9,8 @@ import repro.{Props, SparkSpec}
 
 /** The blocker's block statistics count assignment rows; they are right
   * only because assignments are distinct per `(key, pid)`. These properties
-  * check that invariant on both blocking functions, and check the
+  * check that invariant on both blocking functions, and their keys against
+  * the driver-side tokenizer, and check the
   * statistics and the three stages that read them against `countDistinct`
   * formulations, over small random profile sets: each stage alone, and the
   * three chained as the blocker runs them.
@@ -67,11 +68,31 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
     a.join(refStats(a).where(valid).select("key"), "key")
   }
 
+  /** The `(key, pid)` sets of schema-agnostic and loose-schema blocking,
+    * built on the driver from the raw values with `Tokenizer.tokenize`.
+    */
+  private def refKeys(
+      profiles: Seq[Profile],
+      clusters: Seq[(String, Int)],
+      minTokenLength: Int): Seq[Set[(String, Long)]] = {
+    val clusterOf = clusters.toMap
+    def keys(key: (String, String) => String) = (for {
+      p <- profiles
+      (attr, value) <- p.attributes
+      token <- Tokenizer.tokenize(value, minTokenLength)
+    } yield (key(s"${p.source}::$attr", token), p.id)).toSet
+    Seq(keys((_, token) => token), keys((attrKey, token) => s"$token#${clusterOf(attrKey)}"))
+  }
+
   test("property: schemaAgnostic and looseSchema assignments are distinct per (key, pid)") {
     forAllG(genInput, n = 10) { case (profiles, clusters, _, _) =>
-      blockings(profiles, clusters).foreach { a =>
-        val keyPid = a.select("key", "pid").as[(String, Long)].collect()
-        assert(keyPid.distinct.length == keyPid.length)
+      for (m <- Seq(1, 2)) {
+        val want = refKeys(profiles, clusters, m)
+        RandomBlocks.blockings(spark, profiles, clusters, m).zip(want).foreach { case (a, ref) =>
+          val keyPid = a.select("key", "pid").as[(String, Long)].collect()
+          assert(keyPid.distinct.length == keyPid.length)
+          assert(keyPid.toSet == ref, s"minTokenLength=$m")
+        }
       }
     }
   }

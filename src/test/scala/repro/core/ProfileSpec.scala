@@ -6,26 +6,29 @@ class ProfileSpec extends SparkSpec {
 
   private lazy val ds = Fixtures.figure1(spark)
 
-  test("toKV explodes one row per attribute value") {
-    val kv = Profiles.toKV(ds)
-    // p1: 3 attrs, p2: 3, p3: 2, p4: 2
-    assert(kv.count() == 10)
+  test("toKV emits one row per token occurrence") {
+    import spark.implicits._
+    // p1: 3 tokens, p2: 4, p3: 3, p4: 3
+    assert(Profiles.toKV(ds).count() == 13)
+    val p = Profiles.fromSeq(spark, Seq(Profile(9, 1, Map("a" -> "X y-x"))))
+    val rows = Profiles.toKV(p).as[(Long, Int, String, String)].collect().toSeq
+    assert(rows.sortBy(_._4) == Seq((9L, 1, "1::a", "x"), (9L, 1, "1::a", "x"), (9L, 1, "1::a", "y")))
   }
 
   test("toKV schema") {
-    assert(Profiles.toKV(ds).columns.toSeq == Seq("pid", "source", "attr", "value"))
+    assert(Profiles.toKV(ds).columns.toSeq == Seq("pid", "source", "attrKey", "token"))
   }
 
   test("toKV drops null and empty values") {
+    import spark.implicits._
     val p = Profiles.fromSeq(spark, Seq(
-      Profile(9, 1, Map("a" -> "x", "b" -> "", "c" -> null))))
-    assert(Profiles.toKV(p).count() == 1)
+      Profile(9, 1, Map("a" -> "x", "b" -> "", "c" -> null, "d" -> "-- ,"))))
+    assert(Profiles.toKV(p).select("attrKey").as[String].collect().toSeq == Seq("1::a"))
   }
 
-  test("withAttrKey qualifies by source") {
+  test("toKV qualifies attrKey by source") {
     import spark.implicits._
-    val keys = Profiles.withAttrKey(Profiles.toKV(ds))
-      .select("attrKey").distinct().as[String].collect().toSet
+    val keys = Profiles.toKV(ds).select("attrKey").distinct().as[String].collect().toSet
     assert(keys == Set("1::name", "1::authors", "1::abstract", "2::title", "2::author"))
   }
 

@@ -11,7 +11,10 @@ import scala.util.Random
   */
 object RandomBlocks {
 
-  private val vocab = Vector("sony", "tv", "bosch", "washer", "x5", "black", "the", "café")
+  /** "𝔸" is one code point but two UTF-16 units, so it is kept at a minimum
+    * token length of 2; "a" is not.
+    */
+  private val vocab = Vector("sony", "tv", "bosch", "washer", "x5", "black", "the", "café", "𝔸", "a")
   private val attrs = Vector("name", "desc", "brand")
 
   private val genValue: Gen[String] = for {
@@ -50,12 +53,15 @@ object RandomBlocks {
   def blockings(
       spark: SparkSession,
       profiles: Seq[Profile],
-      clusters: Seq[(String, Int)]): Seq[DataFrame] = {
+      clusters: Seq[(String, Int)],
+      minTokenLength: Int = Tokenizer.DefaultMinLength): Seq[DataFrame] = {
     import spark.implicits._
     val kv = Profiles.toKV(Profiles.fromSeq(spark, profiles))
     val clustersDf = clusters.map { case (k, c) => (k, c, (c + 1) / 3.0) }
       .toDF("attrKey", "cluster", "entropy")
-    Seq(TokenBlocking.schemaAgnostic(kv), TokenBlocking.looseSchema(kv, clustersDf))
+    Seq(
+      TokenBlocking.schemaAgnostic(kv, minTokenLength),
+      TokenBlocking.looseSchema(kv, clustersDf, minTokenLength))
   }
 
   /** The rows of `a` in two other layouts: repartitioned into 3, and

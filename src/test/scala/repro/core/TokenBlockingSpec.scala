@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.{GenerateExec, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
@@ -50,11 +50,13 @@ class TokenBlockingSpec extends SparkSpec {
   }
 
   test("minTokenLength drops short tokens") {
+    // "𝔸" is one code point but two UTF-16 units: `Tokenizer.tokenize`
+    // keeps it at length 2, so token blocking must too.
     val p = Profiles.fromSeq(spark, Seq(
-      Profile(1, 1, Map("a" -> "ab x")), Profile(2, 2, Map("a" -> "ab y"))))
+      Profile(1, 1, Map("a" -> "ab x 𝔸")), Profile(2, 2, Map("a" -> "ab y 𝔸"))))
     val keys = TokenBlocking.schemaAgnostic(Profiles.toKV(p), minTokenLength = 2)
       .select("key").distinct().as[String].collect().toSet
-    assert(keys == Set("ab"))
+    assert(keys == Set("ab", "𝔸"))
   }
 
   test("looseSchema keys carry the partition id") {
@@ -187,6 +189,8 @@ class TokenBlockingSpec extends SparkSpec {
       assert(joins.forall(_.isInstanceOf[BroadcastHashJoinExec]) && joins.size == allowed,
         s"$name $mode joins:\n$plan")
       assert(shuffles.size <= 3, s"$name $mode has ${shuffles.size} shuffles:\n$plan")
+      // The token table is already exploded; token blocking only filters it.
+      assert(plan.collect { case g: GenerateExec => g }.isEmpty, s"$name $mode explodes:\n$plan")
     }
   }
 }

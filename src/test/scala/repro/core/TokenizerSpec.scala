@@ -42,10 +42,6 @@ class TokenizerSpec extends AnyFunSuite with Props {
     assert(Tokenizer.tokenize("x y x") == Seq("x", "y", "x"))
   }
 
-  test("tokenSet deduplicates") {
-    assert(Tokenizer.tokenSet("x y x") == Set("x", "y"))
-  }
-
   test("unicode letters survive") {
     assert(Tokenizer.tokenize("café müller") == Seq("café", "müller"))
   }
@@ -67,12 +63,6 @@ class TokenizerSpec extends AnyFunSuite with Props {
   test("property: tokenize is deterministic") {
     forAllG(Gen.asciiPrintableStr) { s: String =>
       assert(Tokenizer.tokenize(s) == Tokenizer.tokenize(s))
-    }
-  }
-
-  test("property: tokenSet is subset of tokenize output") {
-    forAllG(Gen.asciiPrintableStr) { s: String =>
-      assert(Tokenizer.tokenSet(s) == Tokenizer.tokenize(s).toSet)
     }
   }
 }

@@ -8,7 +8,7 @@ import repro.core.Tokenizer
 object SimilarityReference {
 
   def jaccardTokens(a: String, b: String): Double = {
-    val (sa, sb) = (Tokenizer.tokenSet(a), Tokenizer.tokenSet(b))
+    val (sa, sb) = (Tokenizer.tokenize(a).toSet, Tokenizer.tokenize(b).toSet)
     if (sa.isEmpty && sb.isEmpty) 0.0
     else (sa & sb).size.toDouble / (sa | sb).size
   }
