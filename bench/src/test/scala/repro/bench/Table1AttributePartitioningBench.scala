@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.experiments.Experiments
-import repro.experiments.Experiments.pct
 
 /** T1 (Fig 6a–d): blocking quality under schema-agnostic, automatic
   * loose-schema, and manual attribute partitionings. Prints the table and
@@ -17,10 +16,7 @@ class Table1AttributePartitioningBench extends SparkSpec {
   private lazy val rows = Experiments.table1(spark, nShared = 800)
 
   test("T1: table") {
-    info("\n" + Experiments.render(
-      Seq("config", "partitions", "blocks", "candidates", "recall", "precision", "lostGT"),
-      rows.map(r => Seq(r.config, r.nPartitions.toString, r.nBlocks.toString,
-        r.candidates.toString, pct(r.recall), pct(r.precision), r.lost.toString))))
+    info("\n" + Experiments.renderT1(rows))
     assert(rows.size == 3)
   }
 

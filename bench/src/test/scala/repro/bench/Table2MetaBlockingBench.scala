@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.experiments.Experiments
-import repro.experiments.Experiments.pct
 
 /** T2 (Fig 6e, Figs 1c/2c): meta-blocking variants. Asserts the paper's
   * claims: meta-blocking removes "least promising comparisons" at scale
@@ -17,10 +16,7 @@ class Table2MetaBlockingBench extends SparkSpec {
   private def byPrefix(p: String) = rows.find(_.config.startsWith(p)).get
 
   test("T2: table") {
-    info("\n" + Experiments.render(
-      Seq("config", "candidates", "recall", "precision", "f1"),
-      rows.map(r => Seq(r.config, r.candidates.toString, pct(r.recall),
-        pct(r.precision), pct(r.f1)))))
+    info("\n" + Experiments.renderT2(rows))
     assert(rows.size == 5)
   }
 

@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.experiments.Experiments
-import repro.experiments.Experiments.pct
 
 /** T3 (§2.2/§3): matcher scheme × threshold sweep over Blast candidates,
   * plus connected-components clustering. Asserts the tuning behaviour the
@@ -15,11 +14,7 @@ class Table3EndToEndBench extends SparkSpec {
   private lazy val rows = Experiments.table3(spark, nShared = 800)
 
   test("T3: table") {
-    info("\n" + Experiments.render(
-      Seq("scheme", "thr", "matches", "pairP", "pairR", "pairF1", "clP", "clR", "clF1"),
-      rows.map(r => Seq(r.scheme, pct(r.threshold), r.matchPairs.toString,
-        pct(r.pairPrecision), pct(r.pairRecall), pct(r.pairF1),
-        pct(r.clusterPrecision), pct(r.clusterRecall), pct(r.clusterF1)))))
+    info("\n" + Experiments.renderT3(rows))
     assert(rows.nonEmpty)
   }
 

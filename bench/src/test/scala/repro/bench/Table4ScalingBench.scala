@@ -14,10 +14,7 @@ class Table4ScalingBench extends SparkSpec {
   private lazy val rows = Experiments.table4(spark, nShared = 1000)
 
   test("T4: table") {
-    info("\n" + Experiments.render(
-      Seq("variant", "partitions", "profiles", "candidates", "millis"),
-      rows.map(r => Seq(r.variant, r.partitions.toString, r.nProfiles.toString,
-        r.candidates.toString, r.millis.toString))))
+    info("\n" + Experiments.renderT4(rows))
     assert(rows.nonEmpty)
   }
 

@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.experiments.Experiments
-import repro.experiments.Experiments._
 
 /** Shared session bootstrap for the spark-submit entrypoints. */
 object Jobs {
@@ -23,11 +22,7 @@ object Jobs {
 object Table1Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("sparker-table1")
-    val rows = Experiments.table1(spark, Jobs.argInt(args, 0, 1000))
-    println(Experiments.render(
-      Seq("config", "partitions", "blocks", "candidates", "recall", "precision", "lostGT"),
-      rows.map(r => Seq(r.config, r.nPartitions.toString, r.nBlocks.toString,
-        r.candidates.toString, pct(r.recall), pct(r.precision), r.lost.toString))))
+    println(Experiments.renderT1(Experiments.table1(spark, Jobs.argInt(args, 0, 1000))))
     spark.stop()
   }
 }
@@ -36,11 +31,7 @@ object Table1Job {
 object Table2Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("sparker-table2")
-    val rows = Experiments.table2(spark, Jobs.argInt(args, 0, 1000))
-    println(Experiments.render(
-      Seq("config", "candidates", "recall", "precision", "f1"),
-      rows.map(r => Seq(r.config, r.candidates.toString, pct(r.recall),
-        pct(r.precision), pct(r.f1)))))
+    println(Experiments.renderT2(Experiments.table2(spark, Jobs.argInt(args, 0, 1000))))
     spark.stop()
   }
 }
@@ -49,12 +40,7 @@ object Table2Job {
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("sparker-table3")
-    val rows = Experiments.table3(spark, Jobs.argInt(args, 0, 1000))
-    println(Experiments.render(
-      Seq("scheme", "thr", "matches", "pairP", "pairR", "pairF1", "clP", "clR", "clF1"),
-      rows.map(r => Seq(r.scheme, pct(r.threshold), r.matchPairs.toString,
-        pct(r.pairPrecision), pct(r.pairRecall), pct(r.pairF1),
-        pct(r.clusterPrecision), pct(r.clusterRecall), pct(r.clusterF1)))))
+    println(Experiments.renderT3(Experiments.table3(spark, Jobs.argInt(args, 0, 1000))))
     spark.stop()
   }
 }
@@ -63,11 +49,7 @@ object Table3Job {
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val spark = Jobs.session("sparker-table4")
-    val rows = Experiments.table4(spark, Jobs.argInt(args, 0, 2000))
-    println(Experiments.render(
-      Seq("variant", "partitions", "profiles", "candidates", "millis"),
-      rows.map(r => Seq(r.variant, r.partitions.toString, r.nProfiles.toString,
-        r.candidates.toString, r.millis.toString))))
+    println(Experiments.renderT4(Experiments.table4(spark, Jobs.argInt(args, 0, 2000))))
     spark.stop()
   }
 }

@@ -20,7 +20,8 @@ import scala.reflect.ClassTag
   * broadcast block index, each node's neighbourhood built, used and
   * dropped. [[candidates]] prunes inside that walk, in two passes: pass 1
   * derives the thresholds of the pruning rule, pass 2 walks again and
-  * emits the surviving pairs.
+  * emits the surviving pairs. `NoPruning` is one walk that keeps every
+  * edge, so this walk is the only candidate generator.
   *
   * [[wep]], [[wnp]], [[cep]] and [[cnp]] prune a weighted edge DataFrame
   * with Spark aggregates and joins. The pipeline does not run them: they
@@ -307,20 +308,13 @@ object MetaBlocking {
       else if (bestFirst.lt((w, key), heap.peek)) { heap.poll(); heap.add((w, key)) }
   }
 
-  /** Build the weighted blocking graph from block assignments, the way the
-    * paper parallelises meta-blocking (§2.1): the block index is broadcast
-    * to every partition, and each partition materialises the neighbourhood
-    * of one node at a time.
-    *
-    * The emitting profiles — those of source 1 in clean-clean ER, all in
-    * dirty ER — are parallelised; each sums, per neighbour, the common
-    * blocks and their entropies, reading its blocks in ascending id order,
-    * so every weight is bit-identical whatever the input's partitioning.
-    *
-    * Output: (p1, p2, weight) with p1 from source 1 in clean-clean ER
-    * (p1 < p2 in dirty ER), distributed; edges are not collected. With
-    * `useEntropy` (Fig 2c): CBS becomes Σ entropy over common blocks; JS is
-    * multiplied by the mean entropy of the common blocks.
+  /** The weighted blocking graph of the assignments, as the walk emits it
+    * from the emitting profiles (source 1 in clean-clean ER, all in dirty
+    * ER), each summing its common blocks in ascending order, so every
+    * weight is bit-identical whatever the input's partitioning. Output:
+    * `(p1, p2, weight)`, p1 from source 1 in clean-clean ER (p1 < p2 in
+    * dirty ER), distributed. With `useEntropy` (Fig 2c): CBS becomes
+    * Σ entropy over common blocks; JS is multiplied by their mean entropy.
     */
   def edges(
       assignments: DataFrame,
@@ -334,10 +328,11 @@ object MetaBlocking {
   }
 
   /** The candidate pairs `(p1, p2)` that `pruning` keeps of the graph
-    * [[edges]] would build, oriented as there, without building it.
-    * `NoPruning` is [[TokenBlocking.comparisons]]. Every other strategy
-    * makes two walks over the broadcast index, and pass 1 sends the
-    * driver:
+    * [[edges]] would build, oriented as there, each once, without building
+    * it. Every strategy reads one broadcast index, so every strategy fails
+    * above [[DriverAssignmentBound]] assignments. `NoPruning` makes one
+    * walk and keeps every edge. Every other strategy makes two walks, and
+    * pass 1 sends the driver:
     *  - WEP: one weight sum and edge count per emitting profile, added
     *    up in profile order into the global mean;
     *  - WNP: each profile's threshold (mean or `c`·max of its own
@@ -362,11 +357,11 @@ object MetaBlocking {
     val spark = assignments.sparkSession
     import spark.implicits._
     val sc = spark.sparkContext
-    lazy val g = broadcastIndex(assignments, mode, scheme, useEntropy) // NoPruning reads no index
+    val g = broadcastIndex(assignments, mode, scheme, useEntropy)
     def pairs(rdd: RDD[(Long, Long, Double)]) = rdd.map(e => (e._1, e._2)).toDF("p1", "p2")
 
     pruning match {
-      case PruningStrategy.NoPruning => TokenBlocking.comparisons(assignments, mode)
+      case PruningStrategy.NoPruning => pairs(kept(sc, g)(() => (_, _, _) => true))
 
       case PruningStrategy.Wep(factor) =>
         val sums = perNode(sc, g, g.value.n1) { (w, u) =>

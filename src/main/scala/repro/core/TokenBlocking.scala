@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.core.MetaBlocking.{PruningStrategy, WeightScheme}
 
 /** Token blocking (Fig 1b) and loose-schema token blocking (Fig 2b).
   *
@@ -29,11 +30,11 @@ import org.apache.spark.sql.functions._
   * `distinct()`, which reuses that exchange, so the output arrives
   * clustered by block.
   *
-  * The blocker reads each block fact from one helper here: the per-block
-  * counts from [[withBlockStats]], as window columns over the block
-  * (purging, filtering and [[validBlocks]]; no aggregate is joined back,
-  * and on input clustered by key the window needs no shuffle), and the
-  * member pairs of each block from `blockPairs` ([[comparisons]]).
+  * The blocker reads the per-block counts from [[withBlockStats]], as
+  * window columns over the block (purging, filtering and [[validBlocks]];
+  * no aggregate is joined back, and on input clustered by key the window
+  * needs no shuffle). [[comparisons]] is no join on `key`: it walks the
+  * broadcast block index of [[MetaBlocking]].
   */
 object TokenBlocking {
 
@@ -94,10 +95,6 @@ object TokenBlocking {
       count(when(col("source") =!= 1, lit(1))).over(byKey) as "nB")
   }
 
-  /** Per-block statistics `(key, size, nA, nB)`, one row per block. */
-  def blockStats(assignments: DataFrame): DataFrame =
-    withBlockStats(assignments).select(("key" +: BlockStatColumns).map(col): _*).distinct()
-
   /** Drop blocks that cannot generate a comparison: singletons, and (in
     * clean-clean ER) blocks whose members all come from one source.
     */
@@ -109,25 +106,12 @@ object TokenBlocking {
     withBlockStats(assignments).where(valid).drop(BlockStatColumns: _*)
   }
 
-  /** Every comparison each block yields, as `(key, p1, p2, entropy)` with
-    * the block's entropy. Clean-clean: p1 from source 1, p2 from another
-    * source; dirty: p1 < p2. A pair shared by several blocks appears once
-    * per block.
-    */
-  private[core] def blockPairs(assignments: DataFrame, mode: ERMode): DataFrame = {
-    val a = assignments.select(
-      col("key"), col("pid") as "p1", col("source") as "s1", col("entropy"))
-    val b = assignments.select(col("key") as "key2", col("pid") as "p2", col("source") as "s2")
-    val joined = a.join(b, col("key") === col("key2"))
-    (mode match {
-      case ERMode.CleanClean => joined.where(col("s1") === 1 && col("s2") =!= 1)
-      case ERMode.Dirty => joined.where(col("p1") < col("p2"))
-    }).select("key", "p1", "p2", "entropy")
-  }
-
-  /** Distinct candidate pairs `(p1, p2)` induced by the block collection,
-    * oriented as in `blockPairs`.
+  /** Distinct candidate pairs `(p1, p2)` induced by the block collection:
+    * every edge of the blocking graph, from [[MetaBlocking.candidates]]
+    * with `NoPruning`. Clean-clean: p1 from source 1, p2 from another
+    * source; dirty: p1 < p2.
     */
   def comparisons(assignments: DataFrame, mode: ERMode): DataFrame =
-    blockPairs(assignments, mode).select("p1", "p2").distinct()
+    MetaBlocking.candidates(
+      assignments, mode, WeightScheme.CBS, useEntropy = false, PruningStrategy.NoPruning)
 }

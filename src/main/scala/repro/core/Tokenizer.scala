@@ -6,10 +6,10 @@ import org.apache.spark.sql.functions.udf
 /** Schema-agnostic tokenization.
   *
   * The blocker treats every profile as a bag of words (§1 of the paper):
-  * values are lowercased and split on any non-letter/non-digit run. Tokens
-  * shorter than `minLength` and stopwords are dropped — purging removes
-  * huge stopword blocks anyway, but dropping 1-char noise keeps the block
-  * collection (and the oracle tables) small.
+  * values are lowercased and split on any non-letter/non-digit run, and
+  * tokens shorter than `minLength` are dropped. There is no stopword list:
+  * a stopword such as "the" is a token like any other, and it is block
+  * purging that removes the high-frequency keys stopwords make (§2.1).
   */
 object Tokenizer {
 

@@ -11,7 +11,8 @@ import repro.pipeline.SparkERPipeline
 import repro.pipeline.SparkERPipeline._
 
 /** The four reproduced tables (DESIGN.md §4): each `tableN` runs the
-  * experiment and returns printable rows; jobs/ and bench/ wrap these.
+  * experiment and returns its rows, and `renderTN` prints them; jobs/ and
+  * bench/ wrap these.
   * The demo paper reports no numeric tables, so the reference points are
   * its §4 narrative claims — recorded beside our measurements in
   * EXPERIMENTS.md.
@@ -231,14 +232,27 @@ object Experiments {
 
   // ---------------------------------------------------------- formatting
 
-  def render(header: Seq[String], rows: Seq[Seq[String]]): String = {
-    val all = header +: rows
+  /** Each table as its job prints it and its bench suite logs it. */
+  def renderT1(rows: Seq[T1Row]): String =
+    render(Seq("config", "partitions", "blocks", "candidates", "recall", "precision", "lostGT"), rows)
+  def renderT2(rows: Seq[T2Row]): String =
+    render(Seq("config", "candidates", "recall", "precision", "f1"), rows)
+  def renderT3(rows: Seq[T3Row]): String =
+    render(Seq("scheme", "thr", "matches", "pairP", "pairR", "pairF1", "clP", "clR", "clF1"), rows)
+  def renderT4(rows: Seq[T4Row]): String =
+    render(Seq("variant", "partitions", "profiles", "candidates", "millis"), rows)
+
+  /** One column per row field, in field order; a `Double` has 4 decimals. */
+  private def render(header: Seq[String], rows: Seq[Product]): String = {
+    val cells = rows.map(_.productIterator.map {
+      case d: Double => f"$d%.4f"
+      case x => x.toString
+    }.toSeq)
+    val all = header +: cells
     val widths = header.indices.map(i => all.map(_(i).length).max)
     def line(r: Seq[String]) =
       r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |")
     val sep = widths.map("-" * _).mkString("|-", "-|-", "-|")
-    (line(header) +: sep +: rows.map(line)).mkString("\n")
+    (line(header) +: sep +: cells.map(line)).mkString("\n")
   }
-
-  def pct(d: Double): String = f"$d%.4f"
 }

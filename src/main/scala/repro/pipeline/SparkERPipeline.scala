@@ -112,9 +112,11 @@ object SparkERPipeline {
   /** Blocker (Fig 4): loose schema generation (optional) → token blocking
     * → purging → filtering → meta-blocking → candidate pairs. The input is
     * first checked with [[Profiles.validate]], which also counts it.
-    * `NoPruning` takes every block comparison
-    * ([[TokenBlocking.comparisons]]); every other strategy runs the fused
-    * two-pass meta-blocking of [[MetaBlocking.candidates]].
+    * Every pruning strategy, `NoPruning` included, runs
+    * [[MetaBlocking.candidates]] over one broadcast block index, so the
+    * blocker fails up front above [[MetaBlocking.DriverAssignmentBound]]
+    * valid assignments. `NoPruning` keeps every block comparison in one
+    * walk; every other strategy prunes inside a two-pass walk.
     */
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession

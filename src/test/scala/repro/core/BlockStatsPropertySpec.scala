@@ -102,7 +102,7 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
       blockings(profiles, clusters).foreach { a =>
         def stats(df: DataFrame) =
           df.select("key", "size", "nA", "nB").as[(String, Long, Long, Long)].collect().toSet
-        assert(stats(TokenBlocking.blockStats(a)) == stats(refStats(a)))
+        assert(stats(BlockStatsPropertySpec.blockStats(a)) == stats(refStats(a)))
       }
     }
   }
@@ -136,4 +136,15 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
       }
     }
   }
+}
+
+object BlockStatsPropertySpec {
+
+  /** The blocker's per-block counts, `TokenBlocking.withBlockStats`, one
+    * row per block: `(key, size, nA, nB)`.
+    */
+  def blockStats(assignments: DataFrame): DataFrame =
+    TokenBlocking.withBlockStats(assignments)
+      .select(("key" +: TokenBlocking.BlockStatColumns).map(col): _*)
+      .distinct()
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, concat, lit}
 import repro.core.MetaBlocking._
 import repro.data.ERData
 import repro.pipeline.SparkERPipeline
@@ -107,5 +108,20 @@ class BroadcastMetaBlockingSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](boundedIndexRows(fig1, bound = 3))
     assert(e.getMessage.contains(s"at most 3 assignments; these blocks hold $n"), e.getMessage)
     assert(boundedIndexRows(fig1, bound = n).length == n)
+  }
+
+  test("every strategy, NoPruning included, fails above the assignment bound with the count") {
+    val n = DriverAssignmentBound + 1L
+    val big = spark.range(n).select(
+      concat(lit("k"), (col("id") % 1000).cast("string")) as "key",
+      col("id") as "pid",
+      (col("id") % 2 + 1).cast("int") as "source",
+      lit(1.0) as "entropy")
+    val messages = Seq(PruningStrategy.NoPruning, PruningStrategy.Wnp()).map { s =>
+      intercept[IllegalArgumentException](
+        candidates(big, ERMode.CleanClean, WeightScheme.CBS, useEntropy = false, s)).getMessage
+    }
+    assert(messages.distinct == Seq(s"requirement failed: meta-blocking broadcasts the block " +
+      s"index, which holds at most $DriverAssignmentBound assignments; these blocks hold $n"))
   }
 }

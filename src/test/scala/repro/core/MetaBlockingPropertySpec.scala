@@ -7,7 +7,8 @@ import repro.{Props, SparkSpec}
 
 /** `MetaBlocking.edges` and `MetaBlocking.candidates` over small random
   * block collections, in both ER modes, with CBS and JS, entropy on and
-  * off: `edges` equals the self-join reference, `candidates` equals the
+  * off: `edges` equals the self-join reference and
+  * `TokenBlocking.comparisons` its distinct pairs, `candidates` equals the
   * DataFrame pruning functions applied to `edges`, neither depends on how
   * the assignments are partitioned or ordered, and no pruning strategy
   * yields a pair that the blocks do not.
@@ -113,6 +114,11 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
           assert(math.abs(w - want(e)) < 1e-9, s"$mode $scheme entropy=$useEntropy $e: $w vs ${want(e)}")
         }
       }
+      for (mode <- modes) {
+        def sorted(df: DataFrame) = df.select("p1", "p2").as[(Long, Long)].collect().sorted.toSeq
+        assert(sorted(TokenBlocking.comparisons(a, mode)) ==
+          sorted(MetaBlockingReference.comparisons(a, mode)), s"$mode comparisons")
+      }
     }
   }
 
@@ -132,7 +138,7 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
     forAllG(RandomBlocks.genProfiles, n = 4) { input =>
       val a = assignments(input)
       for (mode <- modes) {
-        val unpruned = pairs(TokenBlocking.comparisons(a, mode))
+        val unpruned = pairs(MetaBlockingReference.comparisons(a, mode))
         assert(pairs(edges(a, mode, WeightScheme.CBS, useEntropy = true)) == unpruned)
         (PruningStrategy.NoPruning +: strategies).foreach { s =>
           val kept = pairs(candidates(a, mode, WeightScheme.CBS, useEntropy = true, s))

@@ -7,17 +7,37 @@ import repro.core.MetaBlocking.WeightScheme
 /** The weighted blocking graph as a key self-join and an aggregate, which
   * `MetaBlocking.edges`' broadcast neighbourhood construction must
   * reproduce: the same pairs, and weights equal up to the order in which
-  * Spark's `sum` adds the block entropies.
+  * Spark's `sum` adds the block entropies. Its distinct pairs are the
+  * block comparisons that `TokenBlocking.comparisons` must reproduce.
   */
 object MetaBlockingReference {
+
+  /** Every comparison each block yields, as `(key, p1, p2, entropy)` with
+    * the block's entropy. Clean-clean: p1 from source 1, p2 from another
+    * source; dirty: p1 < p2. A pair shared by several blocks appears once
+    * per block.
+    */
+  def blockPairs(assignments: DataFrame, mode: ERMode): DataFrame = {
+    val a = assignments.select(
+      col("key"), col("pid") as "p1", col("source") as "s1", col("entropy"))
+    val b = assignments.select(col("key") as "key2", col("pid") as "p2", col("source") as "s2")
+    val joined = a.join(b, col("key") === col("key2"))
+    (mode match {
+      case ERMode.CleanClean => joined.where(col("s1") === 1 && col("s2") =!= 1)
+      case ERMode.Dirty => joined.where(col("p1") < col("p2"))
+    }).select("key", "p1", "p2", "entropy")
+  }
+
+  /** The distinct `(p1, p2)` of [[blockPairs]]. */
+  def comparisons(assignments: DataFrame, mode: ERMode): DataFrame =
+    blockPairs(assignments, mode).select("p1", "p2").distinct()
 
   def edges(
       assignments: DataFrame,
       mode: ERMode,
       scheme: WeightScheme = WeightScheme.CBS,
       useEntropy: Boolean = false): DataFrame = {
-    val pairs = TokenBlocking
-      .blockPairs(assignments, mode)
+    val pairs = blockPairs(assignments, mode)
       .groupBy("p1", "p2")
       .agg(count(lit(1)) as "cbs", sum("entropy") as "entSum")
 

