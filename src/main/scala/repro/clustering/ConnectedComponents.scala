@@ -59,8 +59,11 @@ object ConnectedComponents {
     }
   }
 
+  /** Most rounds [[propagate]] runs before it gives up. */
+  private val MaxIterations = 50
+
   /** Min-label propagation, the path [[run]] takes above the bound. */
-  private[clustering] def propagate(edges: DataFrame, maxIterations: Int = 50): DataFrame = {
+  private[clustering] def propagate(edges: DataFrame): DataFrame = {
     val sym = edges
       .select(col("src").cast("long"), col("dst").cast("long"))
       .unionAll(edges.select(col("dst").cast("long") as "src", col("src").cast("long") as "dst"))
@@ -75,7 +78,7 @@ object ConnectedComponents {
 
     var changed = 1L
     var iter = 0
-    while (changed > 0 && iter < maxIterations) {
+    while (changed > 0 && iter < MaxIterations) {
       // Each node pulls the min label of its neighborhood (and keeps its own).
       val neighborMin = sym
         .join(labels.withColumnRenamed("id", "dst"), "dst")
@@ -92,7 +95,7 @@ object ConnectedComponents {
       labels = updated.select("id", "component")
       iter += 1
     }
-    require(changed == 0, s"connected components did not converge in $maxIterations rounds")
+    require(changed == 0, s"connected components did not converge in $MaxIterations rounds")
     labels
   }
 }

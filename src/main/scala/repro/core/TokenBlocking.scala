@@ -11,8 +11,7 @@ import repro.core.MetaBlocking.{PruningStrategy, WeightScheme}
   * DataFrame: one row per (blocking key, profile) membership with schema
   *
   *   key: String      — blocking key (token, or token#clusterId)
-  *   cluster: Int     — attribute partition the key came from (0 = schema-agnostic/blob)
-  *   entropy: Double  — entropy of that partition (1.0 when unused)
+  *   entropy: Double  — entropy of the key's attribute partition (1.0 when unused)
   *   pid: Long        — profile id
   *   source: Int      — profile's source
   *
@@ -48,7 +47,6 @@ object TokenBlocking {
     kv.where(Tokenizer.longEnough(col("token"), minTokenLength))
       .select(
         col("token") as "key",
-        lit(0) as "cluster",
         lit(1.0) as "entropy",
         col("pid"),
         col("source"))
@@ -71,7 +69,6 @@ object TokenBlocking {
       .join(broadcast(clusters), "attrKey")
       .select(
         concat(col("token"), lit("#"), col("cluster").cast("string")) as "key",
-        col("cluster"),
         col("entropy"),
         col("pid"),
         col("source"))

@@ -7,9 +7,10 @@ import org.apache.spark.sql.functions.udf
   *
   * The blocker treats every profile as a bag of words (§1 of the paper):
   * values are lowercased and split on any non-letter/non-digit run, and
-  * tokens shorter than `minLength` are dropped. There is no stopword list:
-  * a stopword such as "the" is a token like any other, and it is block
-  * purging that removes the high-frequency keys stopwords make (§2.1).
+  * token blocking drops tokens shorter than its `minTokenLength`
+  * ([[longEnough]]). There is no stopword list: a stopword such as "the"
+  * is a token like any other, and it is block purging that removes the
+  * high-frequency keys stopwords make (§2.1).
   */
 object Tokenizer {
 
@@ -18,25 +19,21 @@ object Tokenizer {
 
   private val splitter = "[^\\p{L}\\p{N}]+".r
 
-  /** The length rule: a token's length is its `String.length`, in UTF-16
-    * units. Spark SQL's `length` counts code points instead, so a
-    * supplementary-plane letter such as "𝔸" is 2 here and 1 there.
-    */
-  private def keeps(token: String, minLength: Int): Boolean = token.length >= minLength
-
   /** Tokenize one raw value. Deterministic; preserves duplicates. */
-  def tokenize(value: String, minLength: Int = DefaultMinLength): Seq[String] =
+  def tokenize(value: String): Seq[String] =
     if (value == null) Seq.empty
     else
       splitter
         .split(value.toLowerCase)
         .iterator
-        .filter(keeps(_, minLength))
+        .filter(_.nonEmpty) // a leading separator splits off an empty string
         .toSeq
 
-  /** Filter predicate: true for the tokens of the string column `token` that
-    * `tokenize` keeps at `minLength`.
+  /** Filter predicate: true for the tokens of the string column `token` at
+    * least `minLength` long. A token's length is its `String.length`, in
+    * UTF-16 units. Spark SQL's `length` counts code points instead, so a
+    * supplementary-plane letter such as "𝔸" is 2 here and 1 there.
     */
   def longEnough(token: Column, minLength: Int): Column =
-    udf((t: String) => keeps(t, minLength)).apply(token)
+    udf((t: String) => t.length >= minLength).apply(token)
 }

@@ -28,7 +28,6 @@ object Sampler {
     val ids = profiles.map(_.id).toDF("pid")
     val seeds = ids.orderBy(md5(concat(col("pid").cast("string"), lit(seed.toString))))
       .limit(K)
-      .cache()
 
     // Likely matches: rank all other profiles by shared-token count.
     val tokens = TokenBlocking.schemaAgnostic(Profiles.toKV(profiles)).select("key", "pid")

@@ -48,9 +48,12 @@ object Experiments {
       precision: Double,
       lost: Long)
 
+  /** The generator seed of every table. */
+  private val Seed = 42L
+
   /** Benchmark inputs are ~100k-row intermediates; 64 reducers is pure
     * scheduling overhead there, so tables 1–3 run with a smaller shuffle
-    * fan-out (restored afterwards; T4 manages its own sweep).
+    * fan-out (restored afterwards; T4 sweeps it).
     */
   private def withShufflePartitions[A](spark: SparkSession, n: Int)(f: => A): A = {
     val prev = spark.conf.get("spark.sql.shuffle.partitions")
@@ -62,8 +65,18 @@ object Experiments {
   /** Fig 6a–d: blocking quality under different attribute partitionings
     * (no meta-blocking; the sweep the demo walks through in the GUI).
     */
-  def table1(spark: SparkSession, nShared: Int = 1000, seed: Long = 42L): Seq[T1Row] =
-    withShufflePartitions(spark, 16) { table1Inner(spark, nShared, seed) }
+  def table1(spark: SparkSession, nShared: Int = 1000): Seq[T1Row] =
+    withShufflePartitions(spark, 16) {
+      val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, Seed)
+      table1Configs.map { case (label, cfg) =>
+        val b = SparkERPipeline.blocker(ds.profiles, cfg)
+        val m = Metrics.evaluatePairs(b.candidates, ds.groundTruth)
+        val nParts = b.clusters
+          .map(_.select("cluster").distinct().count())
+          .getOrElse(1L)
+        T1Row(label, nParts, b.nBlocks, m.pairs, m.recall, m.precision, m.lost)
+      }
+    }
 
   /** T1's rows: (label, config). */
   val table1Configs: Seq[(String, SparkERConfig)] = Seq(
@@ -73,18 +86,6 @@ object Experiments {
     "manual split: name|description|price" -> SchemaMode.Manual(manualNameDescSplit)
   ).map { case (label, sm) =>
     label -> SparkERConfig(schemaMode = sm, pruning = PruningStrategy.NoPruning)
-  }
-
-  private def table1Inner(spark: SparkSession, nShared: Int, seed: Long): Seq[T1Row] = {
-    val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
-    table1Configs.map { case (label, cfg) =>
-      val b = SparkERPipeline.blocker(ds.profiles, cfg)
-      val m = Metrics.evaluatePairs(b.candidates, ds.groundTruth)
-      val nParts = b.clusters
-        .map(_.select("cluster").distinct().count())
-        .getOrElse(1L)
-      T1Row(label, nParts, b.nBlocks, m.pairs, m.recall, m.precision, m.lost)
-    }
   }
 
   // ---------------------------------------------------------------- T2
@@ -100,8 +101,15 @@ object Experiments {
     * entropy. Claim under test: meta-blocking sharply cuts candidates;
     * entropy weighting cuts more at preserved recall.
     */
-  def table2(spark: SparkSession, nShared: Int = 1000, seed: Long = 42L): Seq[T2Row] =
-    withShufflePartitions(spark, 16) { table2Inner(spark, nShared, seed) }
+  def table2(spark: SparkSession, nShared: Int = 1000): Seq[T2Row] =
+    withShufflePartitions(spark, 16) {
+      val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, Seed)
+      table2Configs.map { case (label, cfg) =>
+        val b = SparkERPipeline.blocker(ds.profiles, cfg)
+        val m = Metrics.evaluatePairs(b.candidates, ds.groundTruth)
+        T2Row(label, m.pairs, m.recall, m.precision, m.f1)
+      }
+    }
 
   /** T2's rows: (label, config). */
   val table2Configs: Seq[(String, SparkERConfig)] = Seq(
@@ -118,15 +126,6 @@ object Experiments {
         useEntropy = false, pruning = PruningStrategy.Wnp()),
     "Blast: loose MB + entropy (CBS, WNP max/2 avg)" -> blast)
 
-  private def table2Inner(spark: SparkSession, nShared: Int, seed: Long): Seq[T2Row] = {
-    val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
-    table2Configs.map { case (label, cfg) =>
-      val b = SparkERPipeline.blocker(ds.profiles, cfg)
-      val m = Metrics.evaluatePairs(b.candidates, ds.groundTruth)
-      T2Row(label, m.pairs, m.recall, m.precision, m.f1)
-    }
-  }
-
   // ---------------------------------------------------------------- T3
 
   final case class T3Row(
@@ -140,45 +139,38 @@ object Experiments {
       clusterRecall: Double,
       clusterF1: Double)
 
+  /** T3's matcher thresholds. */
+  val table3Thresholds: Seq[Double] = Seq(0.05, 0.2, 0.35, 0.5, 0.65, 0.8)
+
   /** §2.2/§3: matcher similarity × threshold sweep over the Blast-blocked
     * candidates, then clustering; end-to-end ER quality.
     */
-  def table3(
-      spark: SparkSession,
-      nShared: Int = 1000,
-      seed: Long = 42L,
-      thresholds: Seq[Double] = Seq(0.05, 0.2, 0.35, 0.5, 0.65, 0.8)): Seq[T3Row] =
-    withShufflePartitions(spark, 16) { table3Inner(spark, nShared, seed, thresholds) }
-
-  private def table3Inner(
-      spark: SparkSession,
-      nShared: Int,
-      seed: Long,
-      thresholds: Seq[Double]): Seq[T3Row] = {
-    val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
-    val b = SparkERPipeline.blocker(ds.profiles, blast)
-    val schemes = Seq(
-      "jaccard" -> Similarity.Scheme.JaccardTokens,
-      "cosine" -> Similarity.Scheme.CosineTF,
-      "levenshtein" -> Similarity.Scheme.NormalizedLevenshtein)
-    schemes.flatMap { case (name, scheme) =>
-      // Score once per scheme; each threshold is then just a filter.
-      val scored = repro.matching.EntityMatcher
-        .scorePairs(b.candidates, ds.profiles, scheme)
-        .cache()
-      scored.count()
-      val rows = thresholds.map { t =>
-        val matches = scored.where(org.apache.spark.sql.functions.col("score") >= t)
-        val pm = Metrics.evaluatePairs(matches, ds.groundTruth)
-        val clusters = repro.clustering.EntityClusterer.cluster(matches, ds.profiles)
-        val cm = Metrics.evaluateClusters(clusters, ds.groundTruth)
-        T3Row(name, t, pm.pairs, pm.precision, pm.recall, pm.f1,
-          cm.precision, cm.recall, cm.f1)
+  def table3(spark: SparkSession, nShared: Int = 1000): Seq[T3Row] =
+    withShufflePartitions(spark, 16) {
+      val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, Seed)
+      val b = SparkERPipeline.blocker(ds.profiles, blast)
+      val schemes = Seq(
+        "jaccard" -> Similarity.Scheme.JaccardTokens,
+        "cosine" -> Similarity.Scheme.CosineTF,
+        "levenshtein" -> Similarity.Scheme.NormalizedLevenshtein)
+      schemes.flatMap { case (name, scheme) =>
+        // Score once per scheme; each threshold is then just a filter.
+        val scored = repro.matching.EntityMatcher
+          .scorePairs(b.candidates, ds.profiles, scheme)
+          .cache()
+        scored.count()
+        val rows = table3Thresholds.map { t =>
+          val matches = scored.where(org.apache.spark.sql.functions.col("score") >= t)
+          val pm = Metrics.evaluatePairs(matches, ds.groundTruth)
+          val clusters = repro.clustering.EntityClusterer.cluster(matches, ds.profiles)
+          val cm = Metrics.evaluateClusters(clusters, ds.groundTruth)
+          T3Row(name, t, pm.pairs, pm.precision, pm.recall, pm.f1,
+            cm.precision, cm.recall, cm.f1)
+        }
+        scored.unpersist()
+        rows
       }
-      scored.unpersist()
-      rows
     }
-  }
 
   // ---------------------------------------------------------------- T4
 
@@ -189,45 +181,40 @@ object Experiments {
       candidates: Long,
       millis: Long)
 
+  /** T4's shuffle-partition sweep. */
+  val table4PartitionSweep: Seq[Int] = Seq(1, 2, 4, 8, 16)
+
   /** Scaling: blocker wall-clock vs. parallelism, and meta-blocking alone
     * (`MetaBlocking.candidates`, the fused pass the blocker runs) over the
-    * blocker's assignments. The `millis` are one-shot, cold-JIT timings.
+    * assignments of the sweep's last blocker. The `millis` are one-shot,
+    * cold-JIT timings.
     */
-  def table4(
-      spark: SparkSession,
-      nShared: Int = 2000,
-      seed: Long = 42L,
-      partitionSweep: Seq[Int] = Seq(1, 2, 4, 8, 16)): Seq[T4Row] = {
+  def table4(spark: SparkSession, nShared: Int = 2000): Seq[T4Row] = {
     def timed[A](f: => A): (A, Long) = {
       val t0 = System.nanoTime()
       val a = f
       (a, (System.nanoTime() - t0) / 1000000L)
     }
 
-    val sweep = partitionSweep.map { p =>
-      val prev = spark.conf.get("spark.sql.shuffle.partitions")
-      spark.conf.set("spark.sql.shuffle.partitions", p.toString)
-      try {
-        val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed,
+    val sweep = table4PartitionSweep.map { p =>
+      withShufflePartitions(spark, p) {
+        val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, Seed,
           partitions = p)
         val n = ds.profiles.count()
-        val (c, ms) = timed {
-          SparkERPipeline.blocker(ds.profiles, blast).candidates.count()
-        }
-        T4Row("full blocker", p, n, c, ms)
-      } finally spark.conf.set("spark.sql.shuffle.partitions", prev)
+        // The blocker ends in an eager checkpoint of its candidates.
+        val (b, ms) = timed(SparkERPipeline.blocker(ds.profiles, blast))
+        (T4Row("full blocker", p, n, b.candidates.count(), ms), b)
+      }
     }
 
-    // Meta-blocking alone at full parallelism.
-    val ds = ERData.abtBuy(spark, nShared, nShared / 10, nShared / 10, seed)
-    val n = ds.profiles.count()
-    val b = SparkERPipeline.blocker(ds.profiles, blast.copy(pruning = PruningStrategy.NoPruning))
+    // Meta-blocking alone, over the last blocker's valid assignments.
+    val (last, b) = sweep.last
     val (c, ms) = timed {
       MetaBlocking
         .candidates(b.assignments, blast.mode, blast.weightScheme, blast.useEntropy, blast.pruning)
         .count()
     }
-    sweep :+ T4Row("meta-blocking only", 0, n, c, ms)
+    sweep.map(_._1) :+ T4Row("meta-blocking only", 0, last.nProfiles, c, ms)
   }
 
   // ---------------------------------------------------------- formatting

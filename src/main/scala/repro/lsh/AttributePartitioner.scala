@@ -25,20 +25,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   */
 object AttributePartitioner {
 
-  /** Knobs surfaced by the demo GUI: the clustering threshold is the one
+  /** The one knob the demo GUI surfaces: the clustering threshold, which
     * the §4 walkthrough sweeps (1.0 ⇒ everything in the blob ⇒ plain
     * schema-agnostic blocking; ~0.3 ⇒ the "good" automatic partitions).
-    *
-    * 64 bands of 2 rows ⇒ band-collision probability J², so a pair at the
-    * default exact-Jaccard threshold 0.3 is proposed with probability
-    * 1-(1-0.09)^64 ≈ 0.998 — LSH recall stays a no-op at this attribute
-    * count while the exact filter keeps precision.
+    * The LSH sizes are the constants of [[MinHasher]].
     */
-  final case class Params(
-      threshold: Double = 0.3,
-      numHashes: Int = 128,
-      bands: Int = 64,
-      seed: Long = 17L)
+  final case class Params(threshold: Double = 0.3)
 
   val BlobCluster = 0
 
@@ -62,12 +54,11 @@ object AttributePartitioner {
   def partition(tokenSets: Map[String, Set[String]], params: Params): Map[String, Int] = {
     require(params.threshold > 0, s"threshold must be positive, got ${params.threshold}")
     val attrs = tokenSets.keys.toVector.sorted
-    val hasher = new MinHasher(params.numHashes, params.seed)
-    val sigs = attrs.map(a => a -> hasher.signature(tokenSets(a))).toMap
+    val sigs = attrs.map(a => a -> MinHasher.signature(tokenSets(a))).toMap
 
     // Overlapping LSH groups: attributes sharing any band bucket.
     val buckets = attrs
-      .flatMap(a => hasher.bandKeys(sigs(a), params.bands).map(bk => (bk, a)))
+      .flatMap(a => MinHasher.bandKeys(sigs(a)).map(bk => (bk, a)))
       .groupBy(_._1)
       .values
       .map(_.map(_._2).distinct)
@@ -107,15 +98,25 @@ object AttributePartitioner {
 
   /** Run the full step on profile data and attach entropies, yielding the
     * `(attrKey, cluster, entropy)` DataFrame [[repro.core.TokenBlocking.looseSchema]]
-    * consumes.
+    * consumes. `partition` assigns every attribute of `kv` a cluster.
     */
   def clustersDF(spark: SparkSession, kv: DataFrame, params: Params = Params()): DataFrame =
-    manualClustersDF(spark, kv, partition(attributeTokenSets(kv), params))
+    withEntropies(spark, kv, partition(attributeTokenSets(kv), params))
 
   /** A user-supplied manual partitioning (the demo's Fig 6c edit), as the
-    * same `(attrKey, cluster, entropy)` DataFrame.
+    * same `(attrKey, cluster, entropy)` DataFrame. Attributes of `kv` the
+    * map does not name go to the blob partition (§2.1: "All the attributes
+    * that do not appear in any cluster are put in a blob partition"); their
+    * keys are read in one collect, bounded by the attribute count.
     */
   def manualClustersDF(spark: SparkSession, kv: DataFrame, clusters: Map[String, Int]): DataFrame = {
+    import spark.implicits._
+    val attrKeys = kv.select("attrKey").distinct().as[String].collect()
+    withEntropies(spark, kv, attrKeys.map(_ -> BlobCluster).toMap ++ clusters)
+  }
+
+  /** `clusters`, one row per attribute, with its cluster's entropy. */
+  private def withEntropies(spark: SparkSession, kv: DataFrame, clusters: Map[String, Int]): DataFrame = {
     import spark.implicits._
     val ent = Entropy.clusterEntropies(kv, clusters)
     clusters.toSeq

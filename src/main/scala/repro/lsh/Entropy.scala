@@ -2,6 +2,7 @@ package repro.lsh
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.lsh.AttributePartitioner.BlobCluster
 
 /** Loose Schema Generator — Entropy Extractor (§2.1): "computes the
   * Shannon entropy for each cluster".
@@ -13,8 +14,8 @@ import org.apache.spark.sql.functions._
   * partition carries more evidence, so meta-blocking re-weights edges by
   * it (Fig 2c).
   *
-  * Entropies are optionally normalized by the maximum cluster entropy so
-  * weights are in (0,1], matching the paper's toy values (0.4 / 0.8).
+  * Entropies are normalized by the maximum cluster entropy so weights are
+  * in (0,1], matching the paper's toy values (0.4 / 0.8).
   */
 object Entropy {
 
@@ -32,15 +33,14 @@ object Entropy {
       }
   }
 
-  /** Entropy per cluster id for a given attribute partitioning. */
-  def clusterEntropies(
-      kv: DataFrame,
-      partition: Map[String, Int],
-      normalize: Boolean = true): Map[Int, Double] = {
+  /** Normalized entropy per cluster id for a given attribute partitioning;
+    * attributes `partition` does not name count in the blob.
+    */
+  def clusterEntropies(kv: DataFrame, partition: Map[String, Int]): Map[Int, Double] = {
     val spark = kv.sparkSession
     import spark.implicits._
     val bPart = spark.sparkContext.broadcast(partition)
-    val clusterOf = udf((attrKey: String) => bPart.value.getOrElse(attrKey, 0))
+    val clusterOf = udf((attrKey: String) => bPart.value.getOrElse(attrKey, BlobCluster))
     // Token *occurrences* (not distinct) — frequency matters for entropy.
     val counts = kv
       .select(clusterOf(col("attrKey")) as "cluster", col("token"))
@@ -51,7 +51,7 @@ object Entropy {
     val raw = counts
       .groupBy(_._1)
       .map { case (c, rows) => c -> shannon(rows.map(_._3)) }
-    if (!normalize || raw.isEmpty) raw
+    if (raw.isEmpty) raw
     else {
       val maxH = raw.values.max
       if (maxH <= 0) raw.map { case (c, _) => c -> 1.0 }

@@ -9,27 +9,35 @@ import scala.util.Random
   * LSH banding on top of it (see [[AttributePartitioner]]) finds candidate
   * similar attribute pairs without all-pairs comparison.
   *
-  * @param numHashes signature length
-  * @param seed      deterministic coefficient seed
+  * The sizes are fixed: [[NumHashes]] = 128 slots in [[Bands]] = 64 bands
+  * of 2 rows, so two attributes share a band bucket with probability about
+  * J², and a pair at the default exact-Jaccard threshold 0.3 is proposed
+  * with probability 1-(1-0.09)^64 ≈ 0.998. LSH recall is then a no-op at
+  * attribute counts, and the exact filter keeps precision. The
+  * coefficients are drawn from a fixed seed, so signatures are
+  * deterministic.
   */
-final class MinHasher(val numHashes: Int, seed: Long = 17L) {
-  require(numHashes > 0, s"numHashes must be positive, got $numHashes")
+object MinHasher {
+
+  val NumHashes = 128
+  val Bands = 64
+  private val Rows = NumHashes / Bands
 
   private val P = 2147483647L // Mersenne prime 2^31 - 1
   private val (as, bs) = {
-    val rnd = new Random(seed)
-    val a = Array.fill(numHashes)(1L + rnd.nextLong(P - 1))
-    val b = Array.fill(numHashes)(rnd.nextLong(P))
+    val rnd = new Random(17L)
+    val a = Array.fill(NumHashes)(1L + rnd.nextLong(P - 1))
+    val b = Array.fill(NumHashes)(rnd.nextLong(P))
     (a, b)
   }
 
   /** Signature of a token set; empty sets get an all-MaxValue signature. */
   def signature(tokens: Iterable[String]): Array[Long] = {
-    val sig = Array.fill(numHashes)(Long.MaxValue)
+    val sig = Array.fill(NumHashes)(Long.MaxValue)
     tokens.foreach { t =>
       val x = (t.hashCode & 0x7fffffff).toLong
       var i = 0
-      while (i < numHashes) {
+      while (i < NumHashes) {
         val h = (as(i) * x + bs(i)) % P
         if (h < sig(i)) sig(i) = h
         i += 1
@@ -40,26 +48,22 @@ final class MinHasher(val numHashes: Int, seed: Long = 17L) {
 
   /** Jaccard estimate: fraction of matching signature slots. */
   def estimate(s1: Array[Long], s2: Array[Long]): Double = {
-    require(s1.length == numHashes && s2.length == numHashes, "signature length mismatch")
     var eq = 0
     var i = 0
-    while (i < numHashes) { if (s1(i) == s2(i)) eq += 1; i += 1 }
-    eq.toDouble / numHashes
+    while (i < NumHashes) { if (s1(i) == s2(i)) eq += 1; i += 1 }
+    eq.toDouble / NumHashes
   }
 
   /** LSH band keys: one bucket id per band; equal key in any band ⇒
-    * candidate pair. `bands` must divide `numHashes`.
+    * candidate pair.
     */
-  def bandKeys(sig: Array[Long], bands: Int): Seq[(Int, Long)] = {
-    require(numHashes % bands == 0, s"bands=$bands must divide numHashes=$numHashes")
-    val r = numHashes / bands
-    (0 until bands).map { b =>
+  def bandKeys(sig: Array[Long]): Seq[(Int, Long)] =
+    (0 until Bands).map { b =>
       var h = 1125899906842597L
-      var i = b * r
-      while (i < (b + 1) * r) { h = 31 * h + sig(i); i += 1 }
+      var i = b * Rows
+      while (i < (b + 1) * Rows) { h = 31 * h + sig(i); i += 1 }
       (b, h)
     }
-  }
 }
 
 /** Exact Jaccard, the ground truth MinHash approximates. */

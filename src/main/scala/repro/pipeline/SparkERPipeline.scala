@@ -74,10 +74,6 @@ object SparkERPipeline {
       s"matcherThreshold must be in [0, 1], got $matcherThreshold")
     schemaMode match {
       case SchemaMode.Loose(p) =>
-        require(p.numHashes > 0, s"Loose numHashes must be positive, got ${p.numHashes}")
-        require(p.bands > 0, s"Loose bands must be positive, got ${p.bands}")
-        require(p.numHashes % p.bands == 0,
-          s"Loose bands=${p.bands} must divide numHashes=${p.numHashes}")
         require(p.threshold > 0 && p.threshold <= 1,
           s"Loose threshold must be in (0, 1], got ${p.threshold}")
       case _ =>

@@ -9,10 +9,9 @@ class BlockFilteringSpec extends SparkSpec {
   /** Build an assignments DataFrame directly: (key, pid) memberships. */
   private def asg(rows: (String, Long)*) =
     rows.toDF("key", "pid")
-      .withColumn("cluster", lit(0))
       .withColumn("entropy", lit(1.0))
       .withColumn("source", lit(1))
-      .select("key", "cluster", "entropy", "pid", "source")
+      .select("key", "entropy", "pid", "source")
 
   test("removes each profile from its largest blocks only") {
     // p1 in blocks: small(2), mid(3), big(5). ratio 0.6 → keep ceil(1.8)=2 smallest.
@@ -75,6 +74,6 @@ class BlockFilteringSpec extends SparkSpec {
   test("output schema drops the helper columns") {
     val a = asg(("x", 1L), ("x", 2L))
     assert(BlockFiltering.filter(a).columns.toSet ==
-      Set("key", "cluster", "entropy", "pid", "source"))
+      Set("key", "entropy", "pid", "source"))
   }
 }

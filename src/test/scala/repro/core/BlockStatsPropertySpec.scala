@@ -41,7 +41,7 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
     RandomBlocks.blockings(spark, profiles, clusters)
 
   private def rows(df: DataFrame) =
-    df.select("key", "cluster", "entropy", "pid", "source").collect().toSet
+    df.select("key", "entropy", "pid", "source").collect().toSet
 
   private def refStats(a: DataFrame): DataFrame =
     a.groupBy("key").agg(
@@ -69,7 +69,8 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
   }
 
   /** The `(key, pid)` sets of schema-agnostic and loose-schema blocking,
-    * built on the driver from the raw values with `Tokenizer.tokenize`.
+    * built on the driver from the raw values with `Tokenizer.tokenize`,
+    * keeping tokens whose `String.length` is at least `minTokenLength`.
     */
   private def refKeys(
       profiles: Seq[Profile],
@@ -79,7 +80,7 @@ class BlockStatsPropertySpec extends SparkSpec with Props {
     def keys(key: (String, String) => String) = (for {
       p <- profiles
       (attr, value) <- p.attributes
-      token <- Tokenizer.tokenize(value, minTokenLength)
+      token <- Tokenizer.tokenize(value) if token.length >= minTokenLength
     } yield (key(s"${p.source}::$attr", token), p.id)).toSet
     Seq(keys((_, token) => token), keys((attrKey, token) => s"$token#${clusterOf(attrKey)}"))
   }

@@ -12,7 +12,7 @@ import repro.{Fixtures, SparkSpec}
   * key self-join in [[MetaBlockingReference]]: the same weighted graph,
   * and the same graph after pruning.
   */
-class BroadcastMetaBlockingSpec extends SparkSpec {
+class MetaBlockingEdgesSpec extends SparkSpec {
   import spark.implicits._
 
   private def edgeMap(df: DataFrame): Map[(Long, Long), Double] =

@@ -44,12 +44,12 @@ class MetaBlockingSpec extends SparkSpec {
     // title-cluster blocks 0.4 (Fig 2 values).
     val a = Seq(
       // simonini#2 (entropy .8): p1, p3
-      ("simonini#2", 2, 0.8, 1L, 1), ("simonini#2", 2, 0.8, 3L, 2),
+      ("simonini#2", 0.8, 1L, 1), ("simonini#2", 0.8, 3L, 2),
       // blast#1 (entropy .4): p1, p3, p4
-      ("blast#1", 1, 0.4, 1L, 1), ("blast#1", 1, 0.4, 3L, 2), ("blast#1", 1, 0.4, 4L, 2),
+      ("blast#1", 0.4, 1L, 1), ("blast#1", 0.4, 3L, 2), ("blast#1", 0.4, 4L, 2),
       // sparker#1 (entropy .4): p2, p4
-      ("sparker#1", 1, 0.4, 2L, 1), ("sparker#1", 1, 0.4, 4L, 2),
-    ).toDF("key", "cluster", "entropy", "pid", "source")
+      ("sparker#1", 0.4, 2L, 1), ("sparker#1", 0.4, 4L, 2),
+    ).toDF("key", "entropy", "pid", "source")
     val w = edgeMap(edges(a, ERMode.CleanClean, WeightScheme.CBS, useEntropy = true))
     assert(math.abs(w((1L, 3L)) - 1.2) < 1e-12) // 0.8 + 0.4
     assert(math.abs(w((1L, 4L)) - 0.4) < 1e-12)
@@ -58,9 +58,9 @@ class MetaBlockingSpec extends SparkSpec {
 
   test("entropy weighting: JS is scaled by the mean common-block entropy") {
     val a = Seq(
-      ("k1", 1, 0.5, 1L, 1), ("k1", 1, 0.5, 3L, 2),
-      ("k2", 2, 1.0, 1L, 1), ("k2", 2, 1.0, 3L, 2),
-    ).toDF("key", "cluster", "entropy", "pid", "source")
+      ("k1", 0.5, 1L, 1), ("k1", 0.5, 3L, 2),
+      ("k2", 1.0, 1L, 1), ("k2", 1.0, 3L, 2),
+    ).toDF("key", "entropy", "pid", "source")
     val w = edgeMap(edges(a, ERMode.CleanClean, WeightScheme.JS, useEntropy = true))
     // plain JS = 2/(2+2-2) = 1; mean entropy = 0.75
     assert(math.abs(w((1L, 3L)) - 0.75) < 1e-12)

@@ -70,7 +70,7 @@ object RandomBlocks {
   def layouts(a: DataFrame, seed: Int): Seq[DataFrame] = {
     import a.sparkSession.implicits._
     val shuffled = new Random(seed)
-      .shuffle(a.as[(String, Int, Double, Long, Int)].collect().toSeq)
+      .shuffle(a.as[(String, Double, Long, Int)].collect().toSeq)
       .toDF(a.columns.toIndexedSeq: _*)
     Seq(a.repartition(3), shuffled.repartition(2))
   }

@@ -46,7 +46,10 @@ class TokenBlockingSpec extends SparkSpec {
   }
 
   test("schema-agnostic sets cluster 0 and entropy 1.0") {
-    assert(agn.where($"cluster" =!= 0 || $"entropy" =!= 1.0).count() == 0)
+    // The schema-agnostic partition is implicit: a key is the bare token,
+    // with no `#cluster` suffix and no cluster column.
+    assert(agn.columns.toSeq == Seq("key", "entropy", "pid", "source"))
+    assert(agn.where($"key".contains("#") || $"entropy" =!= 1.0).count() == 0)
   }
 
   test("minTokenLength drops short tokens") {

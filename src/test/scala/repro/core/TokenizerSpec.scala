@@ -1,10 +1,11 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.Props
+import org.apache.spark.sql.functions.col
+import repro.{Props, SparkSpec}
 import org.scalacheck.Gen
 
-class TokenizerSpec extends AnyFunSuite with Props {
+class TokenizerSpec extends SparkSpec with Props {
+  import spark.implicits._
 
   test("splits on whitespace") {
     assert(Tokenizer.tokenize("sony camcorder") == Seq("sony", "camcorder"))
@@ -16,6 +17,7 @@ class TokenizerSpec extends AnyFunSuite with Props {
 
   test("splits on punctuation runs") {
     assert(Tokenizer.tokenize("ab-12//cd..ef") == Seq("ab", "12", "cd", "ef"))
+    assert(Tokenizer.tokenize(" -ab cd") == Seq("ab", "cd")) // no empty leading token
   }
 
   test("keeps digits as tokens") {
@@ -35,7 +37,9 @@ class TokenizerSpec extends AnyFunSuite with Props {
   }
 
   test("minLength filters short tokens") {
-    assert(Tokenizer.tokenize("a bc def", minLength = 2) == Seq("bc", "def"))
+    val tokens = Tokenizer.tokenize("a bc def").toDF("token")
+    val kept = tokens.where(Tokenizer.longEnough(col("token"), minLength = 2))
+    assert(kept.as[String].collect().toSeq == Seq("bc", "def"))
   }
 
   test("duplicates preserved by tokenize") {
@@ -51,9 +55,9 @@ class TokenizerSpec extends AnyFunSuite with Props {
   }
 
   test("property: tokens never contain separators and respect minLength") {
-    forAllG2(Gen.asciiPrintableStr, Gen.chooseNum(1, 3)) { (s: String, ml: Int) =>
-      Tokenizer.tokenize(s, ml).foreach { t =>
-        assert(t.length >= ml)
+    forAllG(Gen.asciiPrintableStr) { s: String =>
+      Tokenizer.tokenize(s).foreach { t =>
+        assert(t.length >= Tokenizer.DefaultMinLength)
         assert(t == t.toLowerCase)
         assert(t.forall(_.isLetterOrDigit))
       }

@@ -53,6 +53,13 @@ class SamplerSpec extends SparkSpec {
     assert(s.forall { case (a, b, _) => a != b })
   }
 
+  test("sample leaves no cached plan behind") {
+    // Other tests share the session and cache their samples.
+    spark.catalog.clearCache()
+    Sampler.sample(ds.profiles, 4, 4).collect()
+    assert(spark.sharedState.cacheManager.isEmpty)
+  }
+
   test("rejects non-positive K or k") {
     intercept[IllegalArgumentException](Sampler.sample(ds.profiles, 0, 4))
     intercept[IllegalArgumentException](Sampler.sample(ds.profiles, 4, 0))

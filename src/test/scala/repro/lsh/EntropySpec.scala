@@ -37,9 +37,9 @@ class EntropySpec extends SparkSpec {
     })
     val kv = Profiles.toKV(profiles)
     val parts = Map("1::varied" -> 1, "1::const" -> 2)
-    val ent = Entropy.clusterEntropies(kv, parts, normalize = false)
+    val ent = Entropy.clusterEntropies(kv, parts)
     assert(ent(1) > ent(2))
-    assert(ent(2) < 1.5) // near-constant values
+    assert(ent(2) == 0.0) // one repeated token
   }
 
   test("normalization maps the max cluster to 1.0") {
@@ -55,19 +55,19 @@ class EntropySpec extends SparkSpec {
   test("attributes missing from the partition map fall into cluster 0") {
     val profiles = Profiles.fromSeq(spark, Seq(
       Profile(1, 1, Map("known" -> "a b c", "unknown" -> "x y z"))))
-    val ent = Entropy.clusterEntropies(
-      Profiles.toKV(profiles), Map("1::known" -> 1), normalize = false)
-    assert(ent.contains(0))
+    val ent = Entropy.clusterEntropies(Profiles.toKV(profiles), Map("1::known" -> 1))
+    assert(ent.contains(AttributePartitioner.BlobCluster))
     assert(ent.contains(1))
   }
 
   test("entropy uses occurrences, not distinct values") {
-    val skew = Profiles.fromSeq(spark, Seq(
-      Profile(1, 1, Map("a" -> "x x x x x x x x y"))))
-    val even = Profiles.fromSeq(spark, Seq(
-      Profile(2, 1, Map("a" -> "x y"))))
-    val eSkew = Entropy.clusterEntropies(Profiles.toKV(skew), Map("1::a" -> 1), normalize = false)(1)
-    val eEven = Entropy.clusterEntropies(Profiles.toKV(even), Map("1::a" -> 1), normalize = false)(1)
-    assert(eSkew < eEven)
+    // Both clusters have the distinct tokens {x, y}; only the counts differ.
+    val profiles = Profiles.fromSeq(spark, Seq(
+      Profile(1, 1, Map("skew" -> "x x x x x x x x y", "even" -> "x y"))))
+    val ent = Entropy.clusterEntropies(
+      Profiles.toKV(profiles), Map("1::skew" -> 1, "1::even" -> 2))
+    assert(ent(2) == 1.0)
+    assert(math.abs(ent(1) - Entropy.shannon(Seq(8L, 1L)) / Entropy.shannon(Seq(1L, 1L))) < 1e-12)
+    assert(ent(1) < ent(2))
   }
 }

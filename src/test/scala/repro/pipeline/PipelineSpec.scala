@@ -185,7 +185,6 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("out-of-range configs are rejected at construction, naming the field") {
-    val params = AttributePartitioner.Params()
     def loose(p: AttributePartitioner.Params) = SparkERConfig(schemaMode = SchemaMode.Loose(p))
     def pruned(p: PruningStrategy) = SparkERConfig(pruning = p)
     val invalid: Seq[(String, () => SparkERConfig)] = Seq(
@@ -193,10 +192,7 @@ class PipelineSpec extends SparkSpec {
       "purgeFactor" -> (() => SparkERConfig(purgeFactor = 0.0)),
       "filterRatio" -> (() => SparkERConfig(filterRatio = 0.0)),
       "matcherThreshold" -> (() => SparkERConfig(matcherThreshold = 1.5)),
-      "Loose numHashes" -> (() => loose(params.copy(numHashes = 0))),
-      "Loose bands must be positive" -> (() => loose(params.copy(bands = 0))),
-      "Loose bands=48 must divide numHashes=128" -> (() => loose(params.copy(bands = 48))),
-      "Loose threshold" -> (() => loose(params.copy(threshold = 0.0))),
+      "Loose threshold" -> (() => loose(AttributePartitioner.Params(threshold = 0.0))),
       "Cep k" -> (() => pruned(PruningStrategy.Cep(0))),
       "Cnp k" -> (() => pruned(PruningStrategy.Cnp(0))),
       "MaxFraction c" ->
@@ -232,6 +228,24 @@ class PipelineSpec extends SparkSpec {
         },
         matcherThreshold = c.get("matcherThreshold").asDouble)
     }
+  }
+
+  test("a manual partitioning blocks unmapped attributes in the blob") {
+    val small = ERData.abtBuy(spark, nShared = 40, nOnlyA = 4, nOnlyB = 4)
+    val partial = Map("1::name" -> 1, "2::name" -> 1)
+    val attrKeys = Seq("1::name", "1::description", "1::price",
+      "2::name", "2::description", "2::manufacturer", "2::price")
+    val complete = attrKeys.map(_ -> AttributePartitioner.BlobCluster).toMap ++ partial
+    def blocked(clusters: Map[String, Int]) = {
+      val b = SparkERPipeline.blocker(small.profiles,
+        SparkERConfig(schemaMode = SchemaMode.Manual(clusters), pruning = PruningStrategy.NoPruning))
+      (b.assignments.collect().toSet, b.candidates.collect().toSet)
+    }
+    val (partialAsg, partialCand) = blocked(partial)
+    val (completeAsg, completeCand) = blocked(complete)
+    assert(partialAsg == completeAsg)
+    assert(partialCand == completeCand)
+    assert(partialAsg.exists(_.getAs[String]("key").endsWith("#0")))
   }
 
   test("dirty-mode pipeline runs") {
