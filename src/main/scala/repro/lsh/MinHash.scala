@@ -46,14 +46,6 @@ object MinHasher {
     sig
   }
 
-  /** Jaccard estimate: fraction of matching signature slots. */
-  def estimate(s1: Array[Long], s2: Array[Long]): Double = {
-    var eq = 0
-    var i = 0
-    while (i < NumHashes) { if (s1(i) == s2(i)) eq += 1; i += 1 }
-    eq.toDouble / NumHashes
-  }
-
   /** LSH band keys: one bucket id per band; equal key in any band ⇒
     * candidate pair.
     */

@@ -21,12 +21,12 @@ import repro.core.Tokenizer
   *  - `NormalizedLevenshtein`: the raw text.
   *
   * Tokens are runs of letters and digits ([[Tokenizer]]), so none contains
-  * the separator. A signature is one string rather than an `array<string>`
-  * because the matcher shuffles signatures to the candidate pairs, and an
-  * array column costs a length and an offset per element in every shuffled
-  * row: on the `agnostic_tb` benchmark workload that raised the run's
-  * shuffle bytes by a fifth, while Spark's array set functions were no
-  * faster than the merge in [[compare]].
+  * the separator. A signature is one string rather than a token array
+  * because the matcher reads every profile's signature to the driver and
+  * broadcasts the table: one `String` per profile is one object to
+  * collect, hold and serialize, where an array holds one per token.
+  * [[compare]] merges two signatures in place, so it allocates nothing per
+  * token either.
   */
 object Similarity {
 

@@ -22,7 +22,11 @@ import repro.matching.{EntityMatcher, Similarity}
   * counts) and joins nothing.
   * The weighted blocking graph is neither checkpointed nor built:
   * [[MetaBlocking.candidates]] prunes inside its node-centric walk over the
-  * broadcast block index and emits only the surviving pairs. A checkpoint
+  * broadcast block index and emits only the surviving pairs. The matcher
+  * works the same way: [[EntityMatcher.scorePairs]] broadcasts one
+  * signature per profile and maps the `candidates` checkpoint past it, so
+  * scoring shuffles nothing, and its output is checkpointed only after
+  * the threshold, as the `matches`. A checkpoint
   * cuts the lineage, so each later query plans one `LogicalRDD` leaf.
   * `cache()` is not used: a cached relation keeps its whole source plan,
   * so every later query re-plans and re-describes the nested tree below
@@ -139,7 +143,9 @@ object SparkERPipeline {
     BlockerResult(clustersDf, assignments, candidates.localCheckpoint())
   }
 
-  /** Full stack: blocker → matcher → clusterer. */
+  /** Full stack: blocker → matcher → clusterer. The matcher fails above
+    * [[EntityMatcher.DriverSignatureBound]] profiles.
+    */
   def run(profiles: Dataset[Profile], cfg: SparkERConfig): PipelineResult = {
     val b = blocker(profiles, cfg)
     val m = EntityMatcher

@@ -1,8 +1,9 @@
 package repro.eval
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{Props, SparkSpec}
 
-class MetricsSpec extends SparkSpec {
+class MetricsSpec extends SparkSpec with Props {
   import spark.implicits._
 
   private lazy val gt = Seq((1L, 101L), (2L, 102L), (3L, 103L)).toDF("idA", "idB")
@@ -67,6 +68,30 @@ class MetricsSpec extends SparkSpec {
     val clusters = Seq((1L, 1L), (2L, 2L), (3L, 3L)).toDF("pid", "entityId")
     val m = Metrics.evaluateClusters(clusters, gt)
     assert(m.pairs == 0)
+  }
+
+  test("evaluateClusters counts a self pair and a pair with an unlabelled end in the ground truth only") {
+    val clusters = Seq((1L, 1L), (101L, 1L), (5L, 5L)).toDF("pid", "entityId")
+    val truth = Seq((1L, 101L), (101L, 1L), (5L, 5L), (5L, 999L)).toDF("idA", "idB")
+    val m = Metrics.evaluateClusters(clusters, truth)
+    assert(m == Metrics.PairMetrics(pairs = 1, gtSize = 3, truePositives = 1))
+    assert(m == MetricsReference.evaluateClusters(clusters, truth))
+  }
+
+  test("property: evaluateClusters counts equal the intra-cluster self-join reference") {
+    // Profiles 0..19, each in one of up to six clusters (or none); ground
+    // truth pairs over 0..24, so some ends are unlabelled, with self pairs,
+    // both orientations and duplicates.
+    val clustering = Gen.listOfN(20, Gen.option(Gen.choose(0L, 5L))).map { labels =>
+      labels.zipWithIndex.collect { case (Some(e), pid) => (pid.toLong, 100L + e) }
+    }
+    val truth = Gen.listOf(Gen.zip(Gen.choose(0L, 24L), Gen.choose(0L, 24L)))
+    forAllG2(clustering, truth, n = 25) { (c, t) =>
+      val clusters = c.toDF("pid", "entityId")
+      val gtDf = t.toDF("idA", "idB")
+      assert(Metrics.evaluateClusters(clusters, gtDf) ==
+        MetricsReference.evaluateClusters(clusters, gtDf))
+    }
   }
 
   test("reductionRatio") {

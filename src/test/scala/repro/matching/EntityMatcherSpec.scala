@@ -1,9 +1,13 @@
 package repro.matching
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import repro.SparkSpec
-import repro.core.{Profile, Profiles}
+import repro.core.{ERMode, Profile, Profiles}
+import repro.pipeline.SparkERPipeline
+import repro.pipeline.SparkERPipeline._
 
-class EntityMatcherSpec extends SparkSpec {
+class EntityMatcherSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
   private lazy val profiles = Profiles.fromSeq(spark, Seq(
@@ -55,8 +59,6 @@ class EntityMatcherSpec extends SparkSpec {
   }
 
   test("scorePairs equals Similarity.score on the two profile texts, for every candidate and scheme") {
-    import repro.pipeline.SparkERPipeline
-    import repro.pipeline.SparkERPipeline._
     val ds = repro.data.ERData.abtBuy(spark, nShared = 30, nOnlyA = 3, nOnlyB = 3)
     val cands = SparkERPipeline.blocker(ds.profiles,
       SparkERConfig(schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning)).candidates
@@ -82,5 +84,45 @@ class EntityMatcherSpec extends SparkSpec {
       .select("score").as[Double].collect()
     assert(scores.forall(s => s >= 0.0 && s <= 1.0))
     assert(scores.count(_ > 0.3) > scores.length / 2, "GT pairs should look similar")
+  }
+
+  test("scorePairs fails above the signature bound, with the profile count") {
+    val cands = Seq((1L, 3L)).toDF("p1", "p2")
+    val e = intercept[IllegalArgumentException](
+      EntityMatcher.scorePairs(cands, profiles, Similarity.Scheme.JaccardTokens, bound = 3))
+    assert(e.getMessage.contains("at most 3") && e.getMessage.contains("4 profiles"), e.getMessage)
+    assert(EntityMatcher.scorePairs(cands, profiles, Similarity.Scheme.JaccardTokens, bound = 4)
+      .count() == 1)
+  }
+
+  test("a candidate with an end that is not a profile is dropped") {
+    val cands = Seq((1L, 3L), (1L, 99L), (99L, 3L), (98L, 99L)).toDF("p1", "p2")
+    val scored = EntityMatcher.scorePairs(cands, profiles, Similarity.Scheme.JaccardTokens)
+      .as[(Long, Long, Double)].collect()
+    assert(scored.toSeq == Seq((1L, 3L, 1.0)))
+  }
+
+  test("dirty-ER candidates score as Similarity.score on the two profile texts") {
+    val ds = repro.data.ERData.dirty(spark, nShared = 30)
+    val cands = SparkERPipeline.blocker(ds.profiles, SparkERConfig(mode = ERMode.Dirty,
+      schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning)).candidates
+    val texts = EntityMatcher.profileText(ds.profiles).as[(Long, String)].collect().toMap
+    val pairs = cands.as[(Long, Long)].collect()
+    assert(pairs.nonEmpty && pairs.forall { case (p1, p2) => p1 < p2 })
+    for (scheme <- Seq(Similarity.Scheme.JaccardTokens, Similarity.Scheme.CosineTF)) {
+      val scored = EntityMatcher.scorePairs(cands, ds.profiles, scheme)
+        .as[(Long, Long, Double)].collect()
+      assert(scored.map(r => (r._1, r._2)).sorted.toSeq == pairs.sorted.toSeq)
+      for ((p1, p2, s) <- scored)
+        assert(s == Similarity.score(scheme, texts(p1), texts(p2)), s"$scheme ($p1, $p2)")
+    }
+  }
+
+  test("scoring checkpointed candidates plans no shuffle") {
+    val cands = Seq((1L, 3L), (1L, 4L), (2L, 4L)).toDF("p1", "p2").localCheckpoint()
+    val scored = EntityMatcher.matches(cands, profiles, threshold = 0.5)
+    val plan = scored.queryExecution.executedPlan
+    assert(collect(plan) { case e: ShuffleExchangeExec => e }.isEmpty, plan.toString)
+    assert(scored.select("p1", "p2").as[(Long, Long)].collect().toSeq == Seq((1L, 3L)))
   }
 }
