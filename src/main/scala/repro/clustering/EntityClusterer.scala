@@ -8,11 +8,9 @@ import repro.core.Profile
   * → entity generation. Profiles with no matching pair become singleton
   * entities. Entity ids are the minimum profile id of the cluster.
   *
-  * A match graph of at most [[ConnectedComponents.DriverEdgeBound]] edges
-  * is closed on the driver (its memory cost is on [[ConnectedComponents]])
-  * and its labels reach the join below as a broadcast local table, so the
-  * profile ids are not shuffled. Larger graphs fall back to distributed
-  * label propagation, and the join shuffles both sides.
+  * The match graph is closed on the driver (its memory cost is on
+  * [[ConnectedComponents]]) and its labels reach the join below as a
+  * broadcast local table, so the profile ids are not shuffled.
   */
 object EntityClusterer {
 

@@ -21,7 +21,8 @@ object Sampler {
       K: Int,
       k: Int,
       seed: Long = 11L): DataFrame = {
-    require(K > 0 && k > 0, s"K and k must be positive, got K=$K k=$k")
+    require(K > 0, s"K must be positive, got K=$K")
+    require(k >= 2, s"k must be at least 2, or k/2 keeps no companion, got k=$k")
     val spark = profiles.sparkSession
     import spark.implicits._
 

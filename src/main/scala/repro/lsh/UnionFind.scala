@@ -2,11 +2,11 @@ package repro.lsh
 
 import scala.collection.mutable
 
-/** Driver-side union-find with path compression. The transitive-closure
-  * step of attribute partitioning operates on a handful of attributes, so
-  * it runs on the driver; the clusterer closes match graphs up to
-  * `ConnectedComponents.DriverEdgeBound` edges with it; and it is the test
-  * oracle for the distributed label propagation.
+/** Union-find with path compression. The transitive-closure step of
+  * attribute partitioning operates on a handful of attributes, so it runs
+  * on the driver. `ConnectedComponents` closes each partition's match
+  * edges with it on the executors and merges the resulting forests with it
+  * on the driver.
   *
   * `find` is iterative, so a chain of any length closes without growing
   * the call stack.

@@ -31,11 +31,10 @@ import repro.matching.{EntityMatcher, Similarity}
   * `cache()` is not used: a cached relation keeps its whole source plan,
   * so every later query re-plans and re-describes the nested tree below
   * it, and the entries stay in the session's cache manager after the call
-  * returns. The cost is the one
-  * [[repro.clustering.ConnectedComponents]] already pays per round: local
-  * checkpoints sit in executor memory and disk, are not fault tolerant (a
-  * lost executor loses them, and queries over them fail), and Spark's
-  * context cleaner frees them only once no live DataFrame refers to them.
+  * returns. The cost: local checkpoints sit in executor memory and disk,
+  * are not fault tolerant (a lost executor loses them, and queries over
+  * them fail), and Spark's context cleaner frees them only once no live
+  * DataFrame refers to them.
   */
 object SparkERPipeline {
 

@@ -2,21 +2,20 @@ package repro.clustering
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
-import org.apache.spark.sql.execution.LogicalRDD
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.lsh.UnionFind
 
-/** Every case runs against `run`, which closes these small graphs on the
-  * driver, and against `propagate`, the distributed path `run` takes above
-  * `ConnectedComponents.DriverEdgeBound` edges. One more case moves the
-  * bound to the edge count and checks that `run` switches paths there.
+/** Every case runs `run` on the edges as given, and again with the same
+  * edges spread round-robin over 8 partitions, so that components cross
+  * partitions and the driver has to merge the partitions' forests.
   */
 class ConnectedComponentsSpec extends SparkSpec {
   import spark.implicits._
 
   private val paths: Seq[(String, DataFrame => DataFrame)] = Seq(
     "" -> (ConnectedComponents.run(_)),
-    "propagate: " -> (ConnectedComponents.propagate(_)))
+    "8 partitions: " -> (edges => ConnectedComponents.run(edges.repartition(8))))
 
   for ((prefix, path) <- paths) {
 
@@ -85,17 +84,17 @@ class ConnectedComponentsSpec extends SparkSpec {
     }
   }
 
-  test("the driver closes a graph of exactly the bound; one edge more propagates") {
-    val edges = Seq((1L, 2L), (2L, 3L), (3L, 1L), (10L, 11L), (10L, 11L)).toDF("src", "dst")
-    val want = Map(1L -> 1L, 2L -> 1L, 3L -> 1L, 10L -> 10L, 11L -> 10L)
-    // The driver path returns a local label table, propagation reads its
-    // last round's checkpoint.
-    def reads(df: DataFrame) = df.queryExecution.analyzed.collectLeaves().map(_.getClass).toSet
-    val atBound = ConnectedComponents.run(edges, bound = 5)
-    assert(reads(atBound) == Set(classOf[LocalRelation]))
-    val above = ConnectedComponents.run(edges, bound = 4)
-    assert(reads(above) == Set(classOf[LogicalRDD]))
-    for (labels <- Seq(atBound, above))
-      assert(labels.as[(Long, Long)].collect().toMap == want)
+  test("a path of 100,001 edges over 8 partitions closes to its minimum id") {
+    // Min-label propagation would need one round per hop of its diameter,
+    // 100,001; the partitions' forests close it in one pass.
+    val n = 100001L
+    val edges = spark.range(1, n + 1).select(col("id") as "src", col("id") + 1 as "dst")
+    val labels = ConnectedComponents.run(edges.repartition(8))
+    val leaves = labels.queryExecution.analyzed.collectLeaves().map(_.getClass).toSet
+    assert(leaves == Set(classOf[LocalRelation]))
+    val got = labels.as[(Long, Long)].collect()
+    assert(got.length == n + 1)
+    assert(got.map(_._1).toSet == (1L to n + 1).toSet)
+    assert(got.forall(_._2 == 1L))
   }
 }

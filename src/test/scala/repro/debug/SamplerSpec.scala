@@ -63,5 +63,8 @@ class SamplerSpec extends SparkSpec {
   test("rejects non-positive K or k") {
     intercept[IllegalArgumentException](Sampler.sample(ds.profiles, 0, 4))
     intercept[IllegalArgumentException](Sampler.sample(ds.profiles, 4, 0))
+    // k = 1 is positive, but k / 2 = 0 companions would leave the sample empty.
+    val e = intercept[IllegalArgumentException](Sampler.sample(ds.profiles, 4, 1))
+    assert(e.getMessage.contains("k=1"), e.getMessage)
   }
 }
