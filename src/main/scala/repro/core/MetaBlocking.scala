@@ -23,6 +23,11 @@ import scala.reflect.ClassTag
   * emits the surviving pairs. `NoPruning` is one walk that keeps every
   * edge, so this walk is the only candidate generator.
   *
+  * Both accept any assignments that are distinct per `(key, pid)`: the
+  * index skips the blocks that cannot yield a comparison, so the blocker
+  * passes its filtered assignments straight in and runs no valid-block
+  * stage in Spark.
+  *
   * [[wep]], [[wnp]], [[cep]] and [[cnp]] prune a weighted edge DataFrame
   * with Spark aggregates and joins. The pipeline does not run them: they
   * are the reference that [[candidates]] is tested against, and the
@@ -74,7 +79,8 @@ object MetaBlocking {
     final case class Cnp(k: Int) extends PruningStrategy
   }
 
-  /** Most assignments a walk reads to the driver. Measured at the bound
+  /** Most assignments a walk reads to the driver, counted before the index
+    * drops the blocks that yield no comparison. Measured at the bound
     * on a 64-bit JVM (JDK 17), with 77k profiles of 13 blocks each: the
     * collected rows and the block index built from them hold 144 MB of
     * driver heap over 20k blocks, 147 MB over 200k blocks, and 154 MB when
@@ -103,7 +109,13 @@ object MetaBlocking {
     rows
   }
 
-  /** What every walk reads, over dense ids. Profiles are numbered `0..P-1`:
+  /** What every walk reads, over dense ids. It holds only the blocks that
+    * can yield a comparison, by the rule of [[TokenBlocking.validBlocks]]
+    * (clean-clean ER: a member on each side; dirty ER: two members), and
+    * only the profiles in them: the other blocks are dropped from the
+    * driver's rows before anything is numbered, so a walk over any
+    * assignments equals the walk over their valid blocks, `nb` included.
+    * Profiles are numbered `0..P-1`:
     * in clean-clean ER those of source 1 first, then the others, each side
     * in id order; in dirty ER all in id order. Either way an edge's `p1`
     * has the lower dense id, and dense order within the profiles a node can
@@ -145,11 +157,19 @@ object MetaBlocking {
 
   private object BlockIndex {
     def apply(
-        rows: Array[(String, Long, Int, Double)],
+        assignments: Array[(String, Long, Int, Double)],
         mode: ERMode,
         scheme: WeightScheme,
         useEntropy: Boolean): BlockIndex = {
       val dirty = mode == ERMode.Dirty
+      // TokenBlocking.validBlocks' rule, applied before anything is numbered.
+      val sides = assignments.groupMapReduce(_._1)(r => if (r._3 == 1) (1, 0) else (0, 1)) {
+        case ((a1, b1), (a2, b2)) => (a1 + a2, b1 + b2)
+      }
+      val rows = assignments.filter { r =>
+        val (nA, nB) = sides(r._1)
+        if (dirty) nA + nB >= 2 else nA > 0 && nB > 0
+      }
       val sided = rows.map(r => (if (dirty || r._3 == 1) 0 else 1, r._2)).distinct.sorted
       val pids = sided.map(_._2)
       val n1 = sided.count(_._1 == 0)
@@ -239,7 +259,8 @@ object MetaBlocking {
   }
 
   /** Reads the assignments (at most [[DriverAssignmentBound]]; more fails),
-    * builds the [[BlockIndex]] on the driver and broadcasts it.
+    * builds the [[BlockIndex]] of their valid blocks on the driver and
+    * broadcasts it.
     */
   private def broadcastIndex(
       assignments: DataFrame,

@@ -30,10 +30,12 @@ import repro.core.MetaBlocking.{PruningStrategy, WeightScheme}
   * clustered by block.
   *
   * The blocker reads the per-block counts from [[withBlockStats]], as
-  * window columns over the block (purging, filtering and [[validBlocks]];
-  * no aggregate is joined back, and on input clustered by key the window
-  * needs no shuffle). [[comparisons]] is no join on `key`: it walks the
-  * broadcast block index of [[MetaBlocking]].
+  * window columns over the block (purging and filtering; no aggregate is
+  * joined back, and on input clustered by key the window needs no
+  * shuffle). [[validBlocks]] is not a stage of the blocker's query: the
+  * broadcast block index of [[MetaBlocking]] applies its rule on the
+  * driver, and the blocker returns it only as a lazy view of the valid
+  * assignments. [[comparisons]] is no join on `key`: it walks that index.
   */
 object TokenBlocking {
 
@@ -93,7 +95,11 @@ object TokenBlocking {
   }
 
   /** Drop blocks that cannot generate a comparison: singletons, and (in
-    * clean-clean ER) blocks whose members all come from one source.
+    * clean-clean ER) blocks whose members all come from one source. The
+    * block index of [[MetaBlocking]] drops the same blocks from the rows
+    * it reads, so meta-blocking over these assignments equals
+    * meta-blocking over its input. In Spark this is one more shuffle, by
+    * key, after filtering's by pid.
     */
   def validBlocks(assignments: DataFrame, mode: ERMode): DataFrame = {
     val valid = mode match {

@@ -3,11 +3,14 @@ package repro.core
 import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions.udf
 
+import java.util.Locale
+
 /** Schema-agnostic tokenization.
   *
   * The blocker treats every profile as a bag of words (§1 of the paper):
-  * values are lowercased and split on any non-letter/non-digit run, and
-  * token blocking drops tokens shorter than its `minTokenLength`
+  * values are lowercased (in `Locale.ROOT`, so the tokens do not depend
+  * on the host's default locale) and split on any non-letter/non-digit
+  * run, and token blocking drops tokens shorter than its `minTokenLength`
   * ([[longEnough]]). There is no stopword list: a stopword such as "the"
   * is a token like any other, and it is block purging that removes the
   * high-frequency keys stopwords make (§2.1).
@@ -24,7 +27,7 @@ object Tokenizer {
     if (value == null) Seq.empty
     else
       splitter
-        .split(value.toLowerCase)
+        .split(value.toLowerCase(Locale.ROOT))
         .iterator
         .filter(_.nonEmpty) // a leading separator splits off an empty string
         .toSeq

@@ -207,11 +207,14 @@ object Experiments {
       }
     }
 
-    // Meta-blocking alone, over the last blocker's valid assignments.
+    // Meta-blocking alone, over the last blocker's valid assignments. They
+    // are a lazy view of the front end, so an eager checkpoint runs it
+    // before the timer starts.
     val (last, b) = sweep.last
+    val valid = b.assignments.localCheckpoint()
     val (c, ms) = timed {
       MetaBlocking
-        .candidates(b.assignments, blast.mode, blast.weightScheme, blast.useEntropy, blast.pruning)
+        .candidates(valid, blast.mode, blast.weightScheme, blast.useEntropy, blast.pruning)
         .count()
     }
     sweep.map(_._1) :+ T4Row("meta-blocking only", 0, last.nProfiles, c, ms)

@@ -20,7 +20,7 @@ import repro.core.Profile
 object EntityMatcher {
 
   /** Most profiles whose signatures the matcher reads to the driver, above
-    * the ~72k profiles that [[repro.core.MetaBlocking.DriverAssignmentBound]]
+    * the ~69k profiles that [[repro.core.MetaBlocking.DriverAssignmentBound]]
     * admits. Measured at the bound on a 64-bit JVM (JDK 17), with 200k
     * `abtBuy` profiles of 187 characters of text each: the collected rows,
     * the table built from them and the table's serialized broadcast blocks
@@ -31,13 +31,14 @@ object EntityMatcher {
   val DriverSignatureBound = 200000
 
   /** One text per profile: attribute values concatenated in attribute-name
-    * order (schema-agnostic, deterministic).
+    * order (schema-agnostic, deterministic). A `null` value is skipped, as
+    * [[repro.core.Profiles.toKV]] skips it for blocking.
     */
   def profileText(profiles: Dataset[Profile]): DataFrame = {
     val spark = profiles.sparkSession
     import spark.implicits._
     profiles
-      .map(p => (p.id, p.attributes.toSeq.sortBy(_._1).map(_._2).mkString(" ")))
+      .map(p => (p.id, p.attributes.toSeq.sortBy(_._1).map(_._2).filter(_ != null).mkString(" ")))
       .toDF("pid", "text")
   }
 

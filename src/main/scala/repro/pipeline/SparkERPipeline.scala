@@ -13,13 +13,15 @@ import repro.matching.{EntityMatcher, Similarity}
   *
   * Materialisation rule: every stage output that is read more than once
   * downstream is computed exactly once, with an eager `localCheckpoint()`.
-  * These are the KV table, the valid `assignments`, the `candidates` and
-  * the `matches`. Token blocking, purging, filtering and `validBlocks` run
-  * as one query behind the `assignments` checkpoint: each stage reads its
-  * block counts as window columns ([[TokenBlocking.withBlockStats]]) and
-  * reads its input once, so the chain shuffles three times (by key in
-  * token blocking, by pid for filtering's rank, by key for the valid
-  * counts) and joins nothing.
+  * These are the KV table, the `candidates` and the `matches`. Token
+  * blocking, purging and filtering run as one query that ends at the
+  * block-index read of [[MetaBlocking.candidates]], which collects the
+  * filtered assignments once: each stage reads its block counts as window
+  * columns ([[TokenBlocking.withBlockStats]]) and reads its input once, so
+  * the chain shuffles twice (by key in token blocking, by pid for
+  * filtering's rank) and joins nothing. The blocks that cannot yield a
+  * comparison are dropped on the driver, by the block index, not by a
+  * third shuffle.
   * The weighted blocking graph is neither checkpointed nor built:
   * [[MetaBlocking.candidates]] prunes inside its node-centric walk over the
   * broadcast block index and emits only the surviving pairs. The matcher
@@ -91,14 +93,22 @@ object SparkERPipeline {
     }
   }
 
-  /** Blocker output plus the stage counts the demo GUI reports. */
+  /** Blocker output plus the stage counts the demo GUI reports.
+    *
+    * @param assignments the valid block assignments, as a lazy
+    *                    [[TokenBlocking.validBlocks]] view of the filtered
+    *                    ones: [[run]] never evaluates it, and each query
+    *                    over it re-runs the front end from the KV
+    *                    checkpoint.
+    */
   final case class BlockerResult(
       clusters: Option[DataFrame],
       assignments: DataFrame,
       candidates: DataFrame) {
 
     /** Number of blocks left after purging, filtering and `validBlocks`,
-      * counted on first use: [[run]] does not read it.
+      * counted on first use by re-running the front end from the KV
+      * checkpoint: [[run]] does not read it.
       */
     lazy val nBlocks: Long = assignments.select("key").distinct().count()
   }
@@ -112,10 +122,12 @@ object SparkERPipeline {
     * → purging → filtering → meta-blocking → candidate pairs. The input is
     * first checked with [[Profiles.validate]], which also counts it.
     * Every pruning strategy, `NoPruning` included, runs
-    * [[MetaBlocking.candidates]] over one broadcast block index, so the
-    * blocker fails up front above [[MetaBlocking.DriverAssignmentBound]]
-    * valid assignments. `NoPruning` keeps every block comparison in one
-    * walk; every other strategy prunes inside a two-pass walk.
+    * [[MetaBlocking.candidates]] over one broadcast block index of the
+    * filtered assignments, which drops the blocks that yield no
+    * comparison, so the blocker fails up front above
+    * [[MetaBlocking.DriverAssignmentBound]] filtered assignments.
+    * `NoPruning` keeps every block comparison in one walk; every other
+    * strategy prunes inside a two-pass walk.
     */
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession
@@ -135,11 +147,11 @@ object SparkERPipeline {
 
     val purged = BlockPurging.purge(raw, totalProfiles, cfg.purgeFactor)
     val filtered = BlockFiltering.filter(purged, cfg.filterRatio)
-    val assignments = TokenBlocking.validBlocks(filtered, cfg.mode).localCheckpoint()
 
     val candidates = MetaBlocking.candidates(
-      assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy, cfg.pruning)
-    BlockerResult(clustersDf, assignments, candidates.localCheckpoint())
+      filtered, cfg.mode, cfg.weightScheme, cfg.useEntropy, cfg.pruning)
+    BlockerResult(clustersDf, TokenBlocking.validBlocks(filtered, cfg.mode),
+      candidates.localCheckpoint())
   }
 
   /** Full stack: blocker → matcher → clusterer. The matcher fails above

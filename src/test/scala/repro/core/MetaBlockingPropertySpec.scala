@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.avg
 import repro.core.MetaBlocking._
+import repro.data.ERData
+import repro.lsh.AttributePartitioner
 import repro.{Props, SparkSpec}
 
 /** `MetaBlocking.edges` and `MetaBlocking.candidates` over small random
@@ -10,8 +12,10 @@ import repro.{Props, SparkSpec}
   * off: `edges` equals the self-join reference and
   * `TokenBlocking.comparisons` its distinct pairs, `candidates` equals the
   * DataFrame pruning functions applied to `edges`, neither depends on how
-  * the assignments are partitioned or ordered, and no pruning strategy
-  * yields a pair that the blocks do not.
+  * the assignments are partitioned or ordered, no pruning strategy
+  * yields a pair that the blocks do not, and the block index's validity
+  * rule makes `candidates` over filtered assignments equal `candidates`
+  * over their `TokenBlocking.validBlocks`.
   */
 class MetaBlockingPropertySpec extends SparkSpec with Props {
   import spark.implicits._
@@ -173,6 +177,38 @@ class MetaBlockingPropertySpec extends SparkSpec with Props {
             s"$mode $scheme $s")
       }
     }
+  }
+
+  /** In both modes, for every weighting and strategy, `candidates` over
+    * `filtered` equals `candidates` over its valid blocks, pair for pair.
+    * Returns whether some block of `filtered` was invalid in some mode.
+    */
+  private def assertValidBlocksParity(filtered: DataFrame, clue: String): Boolean =
+    modes.map { mode =>
+      val valid = TokenBlocking.validBlocks(filtered, mode).localCheckpoint()
+      for ((scheme, useEntropy) <- weightings; s <- PruningStrategy.NoPruning +: strategies)
+        assert(pairs(candidates(filtered, mode, scheme, useEntropy, s)) ==
+          pairs(candidates(valid, mode, scheme, useEntropy, s)),
+          s"$clue $mode $scheme entropy=$useEntropy $s")
+      valid.count() < filtered.count()
+    }.contains(true)
+
+  test("property: candidates over filtered assignments equal those over their valid blocks") {
+    var sawInvalid = false
+    forAllG(RandomBlocks.genProfiles, n = 3) { input =>
+      val filtered = BlockFiltering.filter(assignments(input)).localCheckpoint()
+      sawInvalid |= assertValidBlocksParity(filtered, "random")
+    }
+    assert(sawInvalid, "no input had an invalid block")
+  }
+
+  test("abtBuy: candidates over filtered assignments equal those over their valid blocks") {
+    val ds = ERData.abtBuy(spark, nShared = 60, nOnlyA = 10, nOnlyB = 10)
+    val kv = Profiles.toKV(ds.profiles).localCheckpoint()
+    val clusters = AttributePartitioner.clustersDF(spark, kv, AttributePartitioner.Params(threshold = 0.3))
+    val filtered = BlockFiltering.filter(BlockPurging.purge(
+      TokenBlocking.looseSchema(kv, clusters), ds.profiles.count())).localCheckpoint()
+    assert(assertValidBlocksParity(filtered, "abtBuy"), "no invalid block")
   }
 
   test("empty assignments give no edges and no candidates") {

@@ -37,7 +37,8 @@ object MetaBlockingReference {
       mode: ERMode,
       scheme: WeightScheme = WeightScheme.CBS,
       useEntropy: Boolean = false): DataFrame = {
-    val pairs = blockPairs(assignments, mode)
+    val blocks = blockPairs(assignments, mode)
+    val pairs = blocks
       .groupBy("p1", "p2")
       .agg(count(lit(1)) as "cbs", sum("entropy") as "entSum")
 
@@ -46,7 +47,12 @@ object MetaBlockingReference {
         val w = if (useEntropy) col("entSum") else col("cbs").cast("double")
         pairs.withColumn("weight", w)
       case WeightScheme.JS =>
-        val nb = assignments.groupBy("pid").agg(count(lit(1)) as "nb")
+        // A profile's block count covers only the blocks that yield it a
+        // comparison, as the broadcast index keeps only those.
+        val nb = blocks.select(col("key"), col("p1") as "pid")
+          .union(blocks.select(col("key"), col("p2") as "pid"))
+          .distinct()
+          .groupBy("pid").agg(count(lit(1)) as "nb")
         val js = col("cbs") / (col("nb1") + col("nb2") - col("cbs"))
         pairs
           .join(nb.withColumnRenamed("pid", "p1").withColumnRenamed("nb", "nb1"), "p1")

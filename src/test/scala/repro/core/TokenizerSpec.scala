@@ -4,6 +4,8 @@ import org.apache.spark.sql.functions.col
 import repro.{Props, SparkSpec}
 import org.scalacheck.Gen
 
+import java.util.Locale
+
 class TokenizerSpec extends SparkSpec with Props {
   import spark.implicits._
 
@@ -13,6 +15,13 @@ class TokenizerSpec extends SparkSpec with Props {
 
   test("lowercases") {
     assert(Tokenizer.tokenize("Sony CAMCORDER") == Seq("sony", "camcorder"))
+  }
+
+  test("lowercases the same under any default locale") {
+    val default = Locale.getDefault
+    Locale.setDefault(Locale.forLanguageTag("tr"))
+    try assert(Tokenizer.tokenize("TITLE Istanbul") == Seq("title", "istanbul"))
+    finally Locale.setDefault(default)
   }
 
   test("splits on punctuation runs") {

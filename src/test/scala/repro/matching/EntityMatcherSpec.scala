@@ -21,6 +21,18 @@ class EntityMatcherSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(texts(1L) == "black hd sony tv") // desc < name alphabetically
   }
 
+  test("a null value adds nothing to the profile text, so shared nulls score 0") {
+    val withNulls = Profiles.fromSeq(spark, Seq(
+      Profile(1, 1, Map("name" -> "sony tv", "color" -> null)),
+      Profile(2, 2, Map("name" -> "bosch washer", "color" -> null))))
+    val texts = EntityMatcher.profileText(withNulls).as[(Long, String)].collect().toMap
+    assert(texts == Map(1L -> "sony tv", 2L -> "bosch washer"))
+    val scored = EntityMatcher
+      .scorePairs(Seq((1L, 2L)).toDF("p1", "p2"), withNulls, Similarity.Scheme.JaccardTokens)
+      .as[(Long, Long, Double)].collect()
+    assert(scored.toSeq == Seq((1L, 2L, 0.0)))
+  }
+
   test("scorePairs computes the chosen similarity for each candidate") {
     val cands = Seq((1L, 3L), (1L, 4L)).toDF("p1", "p2")
     val scores = EntityMatcher

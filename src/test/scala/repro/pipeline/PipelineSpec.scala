@@ -1,6 +1,8 @@
 package repro.pipeline
 
 import com.fasterxml.jackson.databind.ObjectMapper
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
@@ -15,6 +17,7 @@ import repro.lsh.AttributePartitioner
 import repro.pipeline.SparkERPipeline._
 
 import java.io.File
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** End-to-end behaviour on the synthetic Abt-Buy: these are the
@@ -140,8 +143,35 @@ class PipelineSpec extends SparkSpec {
     val returned = Seq(b.assignments, b.candidates, r.blocker.assignments,
       r.blocker.candidates, r.matches, r.clusters) ++ r.blocker.clusters
     returned.foreach(df => assert(!usesCache(df), df.queryExecution.withCachedData))
-    Seq(b.assignments, b.candidates, r.blocker.assignments, r.blocker.candidates, r.matches)
+    Seq(b.candidates, r.blocker.candidates, r.matches)
       .foreach(df => assert(isCheckpoint(df), df.queryExecution.analyzed))
+  }
+
+  test("a blocker call shuffles in three stages: the id check, blocking by key, filtering by pid") {
+    val group = "blocker-shuffles"
+    val inGroup = mutable.Set.empty[Int]
+    val written = mutable.ArrayBuffer.empty[(String, Long)]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = inGroup.synchronized {
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group))
+          inGroup ++= e.stageIds
+      }
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = inGroup.synchronized {
+        val bytes = e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
+        if (inGroup(e.stageInfo.stageId) && bytes > 0) written += e.stageInfo.name -> bytes
+      }
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    sc.setJobGroup(group, group)
+    try SparkERPipeline.blocker(ds.profiles,
+      SparkERConfig(schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning))
+    finally {
+      sc.clearJobGroup()
+      ListenerBusDrain.drain(sc)
+      sc.removeSparkListener(listener)
+    }
+    assert(written.size == 3, written.mkString("\n"))
   }
 
   test("WEP on an empty edge set gives no candidates or matches and singleton clusters") {
