@@ -10,11 +10,19 @@ import org.apache.spark.sql.functions._
   *
   * For each profile, its blocks are ranked by size ascending and only the
   * smallest `ceil(ratio · #blocks)` memberships are kept (ratio = 0.8 ⇒
-  * the largest 20% are dropped). Ties break on key for determinism. Block
-  * sizes are the `size` window column of [[TokenBlocking.withBlockStats]]
-  * over the input, so after purging (which drops whole blocks) they are the
-  * raw token-blocking sizes, and on input clustered by key they cost no
-  * shuffle; the per-profile rank is the one shuffle, by `pid`.
+  * the largest 20% are dropped). Ties break on key for determinism, in
+  * Spark's string order (UTF-8 bytes, not `String.compareTo`'s UTF-16
+  * units). The keep count is `ceil(n · ratio)`, a `bigint` times a
+  * `double`. Block sizes are the `size` window column of
+  * [[TokenBlocking.withBlockStats]] over the input, so after purging
+  * (which drops whole blocks) they are the raw token-blocking sizes, and on
+  * input clustered by key they cost no shuffle; the per-profile rank is
+  * the one shuffle, by `pid`.
+  *
+  * This is the DataFrame reference of the blocker's filtering: the blocker
+  * ranks each profile's keys in a map over the profiles
+  * ([[FrontEnd.filtered]]), with no shuffle, and is tested against this
+  * function.
   */
 object BlockFiltering {
 

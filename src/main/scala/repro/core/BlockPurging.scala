@@ -13,6 +13,10 @@ import org.apache.spark.sql.functions._
   * [[TokenBlocking.withBlockStats]], so purging is one pass over its input
   * with no aggregate joined back. It drops whole blocks, so the sizes of
   * the blocks it keeps are unchanged.
+  *
+  * This is the DataFrame reference of the blocker's purging: the blocker
+  * drops the keys above the limit from the block-size aggregate of
+  * [[FrontEnd.filtered]], and is tested against this function.
   */
 object BlockPurging {
 

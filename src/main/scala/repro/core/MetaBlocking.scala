@@ -25,8 +25,8 @@ import scala.reflect.ClassTag
   *
   * Both accept any assignments that are distinct per `(key, pid)`: the
   * index skips the blocks that cannot yield a comparison, so the blocker
-  * passes its filtered assignments straight in and runs no valid-block
-  * stage in Spark.
+  * passes the filtered assignments of [[FrontEnd.filtered]] straight in
+  * and runs no valid-block stage in Spark.
   *
   * [[wep]], [[wnp]], [[cep]] and [[cnp]] prune a weighted edge DataFrame
   * with Spark aggregates and joins. The pipeline does not run them: they
@@ -91,18 +91,21 @@ object MetaBlocking {
   val DriverAssignmentBound = 1000000
 
   /** The `(key, pid, source, entropy)` rows of `assignments`, read to the
-    * driver with `limit`, so at most `bound + 1` arrive. More than `bound`
-    * fails, with the count in the message.
+    * driver. More than `bound` fails, with the count in the message. When
+    * the caller knows that at most `atMost <= bound` rows are there, the
+    * read is one `collect()`, one job. Otherwise it is read with `limit`,
+    * so at most `bound + 1` arrive, and Spark runs the limit as an
+    * incremental take: one job for the first partition, more for the rest.
     */
   private[core] def boundedIndexRows(
       assignments: DataFrame,
-      bound: Int): Array[(String, Long, Int, Double)] = {
+      bound: Int,
+      atMost: Long = Long.MaxValue): Array[(String, Long, Int, Double)] = {
     import assignments.sparkSession.implicits._
-    val rows = assignments
+    val all = assignments
       .select(col("key"), col("pid"), col("source"), col("entropy"))
       .as[(String, Long, Int, Double)]
-      .limit(bound + 1)
-      .collect()
+    val rows = if (atMost <= bound) all.collect() else all.limit(bound + 1).collect()
     require(rows.length <= bound,
       s"meta-blocking broadcasts the block index, which holds at most $bound assignments; " +
         s"these blocks hold ${assignments.count()}")
@@ -264,11 +267,12 @@ object MetaBlocking {
     */
   private def broadcastIndex(
       assignments: DataFrame,
+      atMost: Long,
       mode: ERMode,
       scheme: WeightScheme,
       useEntropy: Boolean): Broadcast[BlockIndex] =
     assignments.sparkSession.sparkContext.broadcast(BlockIndex(
-      boundedIndexRows(assignments, DriverAssignmentBound), mode, scheme, useEntropy))
+      boundedIndexRows(assignments, DriverAssignmentBound, atMost), mode, scheme, useEntropy))
 
   /** `f` over the nodes `0 until n`, in parallel, with one [[Walker]] per
     * task; the nodes of a task are contiguous and ascending.
@@ -344,7 +348,7 @@ object MetaBlocking {
       useEntropy: Boolean = false): DataFrame = {
     val spark = assignments.sparkSession
     import spark.implicits._
-    val g = broadcastIndex(assignments, mode, scheme, useEntropy)
+    val g = broadcastIndex(assignments, Long.MaxValue, mode, scheme, useEntropy)
     kept(spark.sparkContext, g)(() => (_, _, _) => true).toDF("p1", "p2", "weight")
   }
 
@@ -374,11 +378,23 @@ object MetaBlocking {
       mode: ERMode,
       scheme: WeightScheme,
       useEntropy: Boolean,
+      pruning: PruningStrategy): DataFrame =
+    candidates(assignments, Long.MaxValue, mode, scheme, useEntropy, pruning)
+
+  /** [[candidates]] of assignments known to be at most `atMost` rows, which
+    * are read in one job when `atMost` is within [[DriverAssignmentBound]].
+    */
+  private[repro] def candidates(
+      assignments: DataFrame,
+      atMost: Long,
+      mode: ERMode,
+      scheme: WeightScheme,
+      useEntropy: Boolean,
       pruning: PruningStrategy): DataFrame = {
     val spark = assignments.sparkSession
     import spark.implicits._
     val sc = spark.sparkContext
-    val g = broadcastIndex(assignments, mode, scheme, useEntropy)
+    val g = broadcastIndex(assignments, atMost, mode, scheme, useEntropy)
     def pairs(rdd: RDD[(Long, Long, Double)]) = rdd.map(e => (e._1, e._2)).toDF("p1", "p2")
 
     pruning match {

@@ -26,21 +26,26 @@ final case class Profile(id: Long, source: Int, attributes: Map[String, String])
   */
 object Profiles {
 
-  /** The (pid, source, attrKey, token) table of a profile collection: the
-    * one place values are tokenized, at [[Tokenizer.DefaultMinLength]].
+  /** The (pid, source, attrKey, token) table of a profile collection, one
+    * row per pair of [[attrTokens]].
     */
   def toKV(profiles: Dataset[Profile]): DataFrame = {
     val spark = profiles.sparkSession
     import spark.implicits._
     profiles
-      .flatMap { p =>
-        p.attributes.iterator.flatMap { case (a, v) =>
-          val attrKey = s"${p.source}::$a"
-          Tokenizer.tokenize(v).map(t => (p.id, p.source, attrKey, t))
-        }.toSeq
-      }
+      .flatMap(p => attrTokens(p).map { case (attrKey, t) => (p.id, p.source, attrKey, t) }.toSeq)
       .toDF("pid", "source", "attrKey", "token")
   }
+
+  /** The `(attrKey, token)` pairs of one profile, duplicates kept: the one
+    * place values are tokenized, at [[Tokenizer.DefaultMinLength]]. Both
+    * [[toKV]] and the blocker's per-profile keys ([[FrontEnd]]) read them.
+    */
+  private[core] def attrTokens(p: Profile): Iterator[(String, String)] =
+    p.attributes.iterator.flatMap { case (a, v) =>
+      val attrKey = s"${p.source}::$a"
+      Tokenizer.tokenize(v).iterator.map(t => (attrKey, t))
+    }
 
   /** Checks the input contract the blocker relies on and counts the
     * profiles, in one Spark job. Profile ids must be unique: block

@@ -29,9 +29,14 @@ import repro.core.MetaBlocking.{PruningStrategy, WeightScheme}
   * `distinct()`, which reuses that exchange, so the output arrives
   * clustered by block.
   *
-  * The blocker reads the per-block counts from [[withBlockStats]], as
-  * window columns over the block (purging and filtering; no aggregate is
-  * joined back, and on input clustered by key the window needs no
+  * The blocker runs neither blocking function: its front end,
+  * [[FrontEnd.filtered]], computes the same keys per profile and shuffles
+  * only block sizes. [[schemaAgnostic]], [[looseSchema]],
+  * [[BlockPurging.purge]] and [[BlockFiltering.filter]] are the DataFrame
+  * reference that the front end is tested against, and the traced
+  * benchmark replays them. Purging and filtering read the per-block counts
+  * from [[withBlockStats]], as window columns over the block (no aggregate
+  * is joined back, and on input clustered by key the window needs no
   * shuffle). [[validBlocks]] is not a stage of the blocker's query: the
   * broadcast block index of [[MetaBlocking]] applies its rule on the
   * driver, and the blocker returns it only as a lazy view of the valid
@@ -98,8 +103,8 @@ object TokenBlocking {
     * clean-clean ER) blocks whose members all come from one source. The
     * block index of [[MetaBlocking]] drops the same blocks from the rows
     * it reads, so meta-blocking over these assignments equals
-    * meta-blocking over its input. In Spark this is one more shuffle, by
-    * key, after filtering's by pid.
+    * meta-blocking over its input. In Spark this is one shuffle, by key,
+    * unless the input arrives clustered by key.
     */
   def validBlocks(assignments: DataFrame, mode: ERMode): DataFrame = {
     val valid = mode match {

@@ -32,11 +32,14 @@ object Tokenizer {
         .filter(_.nonEmpty) // a leading separator splits off an empty string
         .toSeq
 
-  /** Filter predicate: true for the tokens of the string column `token` at
-    * least `minLength` long. A token's length is its `String.length`, in
-    * UTF-16 units. Spark SQL's `length` counts code points instead, so a
-    * supplementary-plane letter such as "𝔸" is 2 here and 1 there.
+  /** True for a token at least `minLength` long. A token's length is its
+    * `String.length`, in UTF-16 units. Spark SQL's `length` counts code
+    * points instead, so a supplementary-plane letter such as "𝔸" is 2 here
+    * and 1 there.
     */
+  def longEnough(token: String, minLength: Int): Boolean = token.length >= minLength
+
+  /** [[longEnough]] over the string column `token`. */
   def longEnough(token: Column, minLength: Int): Column =
-    udf((t: String) => t.length >= minLength).apply(token)
+    udf((t: String) => longEnough(t, minLength)).apply(token)
 }

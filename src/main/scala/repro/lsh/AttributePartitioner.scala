@@ -96,31 +96,50 @@ object AttributePartitioner {
     attrs.map(a => a -> clustered.getOrElse(a, BlobCluster)).toMap
   }
 
-  /** Run the full step on profile data and attach entropies, yielding the
-    * `(attrKey, cluster, entropy)` DataFrame [[repro.core.TokenBlocking.looseSchema]]
-    * consumes. `partition` assigns every attribute of `kv` a cluster.
+  /** An attribute partitioning with entropies, on the driver:
+    * `attrKey → (cluster, entropy of the cluster)`.
+    */
+  type ClusterTable = Map[String, (Int, Double)]
+
+  /** Run the full step on profile data and attach entropies. `partition`
+    * assigns every attribute of `kv` a cluster.
+    */
+  def clusterTable(kv: DataFrame, params: Params = Params()): ClusterTable =
+    withEntropies(kv, partition(attributeTokenSets(kv), params))
+
+  /** [[clusterTable]] as the `(attrKey, cluster, entropy)` DataFrame
+    * [[repro.core.TokenBlocking.looseSchema]] consumes.
     */
   def clustersDF(spark: SparkSession, kv: DataFrame, params: Params = Params()): DataFrame =
-    withEntropies(spark, kv, partition(attributeTokenSets(kv), params))
+    toDF(spark, clusterTable(kv, params))
 
-  /** A user-supplied manual partitioning (the demo's Fig 6c edit), as the
-    * same `(attrKey, cluster, entropy)` DataFrame. Attributes of `kv` the
-    * map does not name go to the blob partition (§2.1: "All the attributes
-    * that do not appear in any cluster are put in a blob partition"); their
-    * keys are read in one collect, bounded by the attribute count.
+  /** A user-supplied manual partitioning (the demo's Fig 6c edit), with
+    * entropies. Attributes of `kv` the map does not name go to the blob
+    * partition (§2.1: "All the attributes that do not appear in any cluster
+    * are put in a blob partition"); their keys are read in one collect,
+    * bounded by the attribute count.
     */
-  def manualClustersDF(spark: SparkSession, kv: DataFrame, clusters: Map[String, Int]): DataFrame = {
-    import spark.implicits._
+  def manualClusterTable(kv: DataFrame, clusters: Map[String, Int]): ClusterTable = {
+    import kv.sparkSession.implicits._
     val attrKeys = kv.select("attrKey").distinct().as[String].collect()
-    withEntropies(spark, kv, attrKeys.map(_ -> BlobCluster).toMap ++ clusters)
+    withEntropies(kv, attrKeys.map(_ -> BlobCluster).toMap ++ clusters)
   }
 
-  /** `clusters`, one row per attribute, with its cluster's entropy. */
-  private def withEntropies(spark: SparkSession, kv: DataFrame, clusters: Map[String, Int]): DataFrame = {
+  /** [[manualClusterTable]] as the same `(attrKey, cluster, entropy)`
+    * DataFrame as [[clustersDF]].
+    */
+  def manualClustersDF(spark: SparkSession, kv: DataFrame, clusters: Map[String, Int]): DataFrame =
+    toDF(spark, manualClusterTable(kv, clusters))
+
+  /** One `(attrKey, cluster, entropy)` row per attribute of `table`. */
+  def toDF(spark: SparkSession, table: ClusterTable): DataFrame = {
     import spark.implicits._
+    table.toSeq.map { case (attrKey, (c, e)) => (attrKey, c, e) }.toDF("attrKey", "cluster", "entropy")
+  }
+
+  /** `clusters` with each cluster's entropy. */
+  private def withEntropies(kv: DataFrame, clusters: Map[String, Int]): ClusterTable = {
     val ent = Entropy.clusterEntropies(kv, clusters)
-    clusters.toSeq
-      .map { case (attrKey, c) => (attrKey, c, ent.getOrElse(c, 1.0)) }
-      .toDF("attrKey", "cluster", "entropy")
+    clusters.map { case (attrKey, c) => attrKey -> (c, ent.getOrElse(c, 1.0)) }
   }
 }

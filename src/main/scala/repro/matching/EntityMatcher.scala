@@ -67,24 +67,35 @@ object EntityMatcher {
       scheme: Similarity.Scheme): DataFrame =
     scorePairs(candidates, profiles, scheme, DriverSignatureBound)
 
-  /** [[scorePairs]] with at most `bound` profiles read to the driver. The
-    * broadcast stays alive: the result is lazy and may be evaluated again.
+  /** [[scorePairs]] with at most `bound` profiles read to the driver. With
+    * `nProfiles`, the number of `profiles`, the bound is checked against
+    * it and the signatures are read in one job; without it, the read is a
+    * `limit(bound + 1)` collect, which Spark runs as an incremental take,
+    * one job for the first partition and more for the rest. The broadcast
+    * stays alive: the result is lazy and may be evaluated again.
     */
-  private[matching] def scorePairs(
+  private[repro] def scorePairs(
       candidates: DataFrame,
       profiles: Dataset[Profile],
       scheme: Similarity.Scheme,
-      bound: Int): DataFrame = {
+      bound: Int,
+      nProfiles: Option[Long] = None): DataFrame = {
     val spark = profiles.sparkSession
     import spark.implicits._
-    val rows = profileText(profiles)
+    val signatures = profileText(profiles)
       .as[(Long, String)]
       .map { case (pid, text) => (pid, Similarity.signature(scheme, text)) }
-      .limit(bound + 1)
-      .collect()
-    require(rows.length <= bound,
-      s"the matcher broadcasts one signature per profile, at most $bound; " +
-        s"there are ${profiles.count()} profiles")
+    def tooMany(n: Long) = s"the matcher broadcasts one signature per profile, at most $bound; " +
+      s"there are $n profiles"
+    val rows = nProfiles match {
+      case Some(n) =>
+        require(n <= bound, tooMany(n))
+        signatures.collect()
+      case None =>
+        val rows = signatures.limit(bound + 1).collect()
+        require(rows.length <= bound, tooMany(profiles.count()))
+        rows
+    }
     val sorted = rows.sortBy(_._1)
     val table = spark.sparkContext.broadcast(
       new SignatureTable(sorted.map(_._1), sorted.map(_._2)))
@@ -111,4 +122,16 @@ object EntityMatcher {
       scheme: Similarity.Scheme = Similarity.Scheme.JaccardTokens,
       threshold: Double = 0.5): DataFrame =
     scorePairs(candidates, profiles, scheme).where(col("score") >= threshold)
+
+  /** [[matches]] of the `nProfiles` `profiles`, whose signatures are read
+    * in one job.
+    */
+  private[repro] def matches(
+      candidates: DataFrame,
+      profiles: Dataset[Profile],
+      nProfiles: Long,
+      scheme: Similarity.Scheme,
+      threshold: Double): DataFrame =
+    scorePairs(candidates, profiles, scheme, DriverSignatureBound, Some(nProfiles))
+      .where(col("score") >= threshold)
 }

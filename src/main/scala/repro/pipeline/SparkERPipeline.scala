@@ -13,15 +13,19 @@ import repro.matching.{EntityMatcher, Similarity}
   *
   * Materialisation rule: every stage output that is read more than once
   * downstream is computed exactly once, with an eager `localCheckpoint()`.
-  * These are the KV table, the `candidates` and the `matches`. Token
-  * blocking, purging and filtering run as one query that ends at the
-  * block-index read of [[MetaBlocking.candidates]], which collects the
-  * filtered assignments once: each stage reads its block counts as window
-  * columns ([[TokenBlocking.withBlockStats]]) and reads its input once, so
-  * the chain shuffles twice (by key in token blocking, by pid for
-  * filtering's rank) and joins nothing. The blocks that cannot yield a
-  * comparison are dropped on the driver, by the block index, not by a
-  * third shuffle.
+  * These are the KV table (built only in the Loose and Manual schema
+  * modes, for the LSH step), the `candidates` and the `matches`. The front
+  * end (token blocking, purging and filtering) shuffles only block sizes:
+  * [[FrontEnd.filtered]] aggregates each profile's distinct blocking keys
+  * into block sizes, the driver broadcasts the ranks of the unpurged keys,
+  * and a map over the profiles keeps each profile's smallest blocks. That
+  * map ends at the block-index read of [[MetaBlocking.candidates]], which
+  * collects the filtered assignments once. The sum of the unpurged block
+  * sizes bounds their number, so when that sum is within
+  * [[MetaBlocking.DriverAssignmentBound]] the read is one job. No
+  * assignment row is shuffled and no aggregate is joined back. The blocks
+  * that cannot yield a comparison are dropped on the driver, by the block
+  * index.
   * The weighted blocking graph is neither checkpointed nor built:
   * [[MetaBlocking.candidates]] prunes inside its node-centric walk over the
   * broadcast block index and emits only the surviving pairs. The matcher
@@ -98,17 +102,19 @@ object SparkERPipeline {
     * @param assignments the valid block assignments, as a lazy
     *                    [[TokenBlocking.validBlocks]] view of the filtered
     *                    ones: [[run]] never evaluates it, and each query
-    *                    over it re-runs the front end from the KV
-    *                    checkpoint.
+    *                    over it re-runs the front end's map over the
+    *                    profiles against the broadcast key ranks.
+    * @param nProfiles   the number of profiles, from [[Profiles.validate]]
     */
   final case class BlockerResult(
       clusters: Option[DataFrame],
       assignments: DataFrame,
-      candidates: DataFrame) {
+      candidates: DataFrame,
+      nProfiles: Long) {
 
     /** Number of blocks left after purging, filtering and `validBlocks`,
-      * counted on first use by re-running the front end from the KV
-      * checkpoint: [[run]] does not read it.
+      * counted on first use by re-running the front end's last map:
+      * [[run]] does not read it.
       */
     lazy val nBlocks: Long = assignments.select("key").distinct().count()
   }
@@ -121,6 +127,8 @@ object SparkERPipeline {
   /** Blocker (Fig 4): loose schema generation (optional) → token blocking
     * → purging → filtering → meta-blocking → candidate pairs. The input is
     * first checked with [[Profiles.validate]], which also counts it.
+    * Token blocking, purging and filtering run as [[FrontEnd.filtered]],
+    * which fails above [[FrontEnd.DriverKeyBound]] unpurged keys.
     * Every pruning strategy, `NoPruning` included, runs
     * [[MetaBlocking.candidates]] over one broadcast block index of the
     * filtered assignments, which drops the blocks that yield no
@@ -132,35 +140,30 @@ object SparkERPipeline {
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession
     val totalProfiles = Profiles.validate(profiles, cfg.mode)
-    val kv = Profiles.toKV(profiles).localCheckpoint()
-
-    val (clustersDf, raw) = cfg.schemaMode match {
-      case SchemaMode.Agnostic =>
-        (None, TokenBlocking.schemaAgnostic(kv, cfg.minTokenLength))
-      case SchemaMode.Loose(params) =>
-        val c = AttributePartitioner.clustersDF(spark, kv, params)
-        (Some(c), TokenBlocking.looseSchema(kv, c, cfg.minTokenLength))
-      case SchemaMode.Manual(map) =>
-        val c = AttributePartitioner.manualClustersDF(spark, kv, map)
-        (Some(c), TokenBlocking.looseSchema(kv, c, cfg.minTokenLength))
+    // KV is built only for the LSH step, which reads it more than once.
+    lazy val kv = Profiles.toKV(profiles).localCheckpoint()
+    val clusters = cfg.schemaMode match {
+      case SchemaMode.Agnostic => None
+      case SchemaMode.Loose(params) => Some(AttributePartitioner.clusterTable(kv, params))
+      case SchemaMode.Manual(map) => Some(AttributePartitioner.manualClusterTable(kv, map))
     }
-
-    val purged = BlockPurging.purge(raw, totalProfiles, cfg.purgeFactor)
-    val filtered = BlockFiltering.filter(purged, cfg.filterRatio)
+    val (filtered, unpurged) = FrontEnd.filtered(profiles, clusters, cfg.minTokenLength,
+      totalProfiles, cfg.purgeFactor, cfg.filterRatio)
 
     val candidates = MetaBlocking.candidates(
-      filtered, cfg.mode, cfg.weightScheme, cfg.useEntropy, cfg.pruning)
-    BlockerResult(clustersDf, TokenBlocking.validBlocks(filtered, cfg.mode),
-      candidates.localCheckpoint())
+      filtered, unpurged, cfg.mode, cfg.weightScheme, cfg.useEntropy, cfg.pruning)
+    BlockerResult(clusters.map(AttributePartitioner.toDF(spark, _)),
+      TokenBlocking.validBlocks(filtered, cfg.mode), candidates.localCheckpoint(), totalProfiles)
   }
 
   /** Full stack: blocker → matcher → clusterer. The matcher fails above
-    * [[EntityMatcher.DriverSignatureBound]] profiles.
+    * [[EntityMatcher.DriverSignatureBound]] profiles, checked against the
+    * blocker's profile count, so it reads the signatures in one job.
     */
   def run(profiles: Dataset[Profile], cfg: SparkERConfig): PipelineResult = {
     val b = blocker(profiles, cfg)
     val m = EntityMatcher
-      .matches(b.candidates, profiles, cfg.matcherScheme, cfg.matcherThreshold)
+      .matches(b.candidates, profiles, b.nProfiles, cfg.matcherScheme, cfg.matcherThreshold)
       .localCheckpoint()
     val c = EntityClusterer.cluster(m, profiles)
     PipelineResult(b, m, c)

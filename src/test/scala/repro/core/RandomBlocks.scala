@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.scalacheck.Gen
+import repro.lsh.AttributePartitioner
 
 import scala.util.Random
 
@@ -12,9 +13,12 @@ import scala.util.Random
 object RandomBlocks {
 
   /** "𝔸" is one code point but two UTF-16 units, so it is kept at a minimum
-    * token length of 2; "a" is not.
+    * token length of 2; "a" is not. "ｘ" (U+FF58) sorts before "𝔸"
+    * (U+1D538) in Spark's UTF-8 string order and after it by
+    * `String.compareTo`, which compares UTF-16 units.
     */
-  private val vocab = Vector("sony", "tv", "bosch", "washer", "x5", "black", "the", "café", "𝔸", "a")
+  private val vocab =
+    Vector("sony", "tv", "bosch", "washer", "x5", "black", "the", "café", "𝔸", "a", "ｘ")
   private val attrs = Vector("name", "desc", "brand")
 
   private val genValue: Gen[String] = for {
@@ -55,14 +59,25 @@ object RandomBlocks {
       profiles: Seq[Profile],
       clusters: Seq[(String, Int)],
       minTokenLength: Int = Tokenizer.DefaultMinLength): Seq[DataFrame] = {
-    import spark.implicits._
     val kv = Profiles.toKV(Profiles.fromSeq(spark, profiles))
-    val clustersDf = clusters.map { case (k, c) => (k, c, (c + 1) / 3.0) }
-      .toDF("attrKey", "cluster", "entropy")
+    val clustersDf = AttributePartitioner.toDF(spark, clusterTable(clusters))
     Seq(
       TokenBlocking.schemaAgnostic(kv, minTokenLength),
       TokenBlocking.looseSchema(kv, clustersDf, minTokenLength))
   }
+
+  /** `clusters` as the cluster table of [[blockings]]: cluster `c` has
+    * entropy `(c + 1) / 3`.
+    */
+  def clusterTable(clusters: Seq[(String, Int)]): Map[String, (Int, Double)] =
+    clusters.map { case (k, c) => k -> (c, (c + 1) / 3.0) }.toMap
+
+  /** `profiles` in three layouts: one partition, three partitions, and
+    * shuffled by `seed` into two.
+    */
+  def profileLayouts(spark: SparkSession, profiles: Seq[Profile], seed: Int): Seq[Dataset[Profile]] =
+    Seq(Profiles.fromSeq(spark, profiles).coalesce(1), Profiles.fromSeq(spark, profiles, 3),
+      Profiles.fromSeq(spark, new Random(seed).shuffle(profiles), 2))
 
   /** The rows of `a` in two other layouts: repartitioned into 3, and
     * collected, shuffled by `seed` and repartitioned into 2.

@@ -1,11 +1,15 @@
 package repro.matching
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import repro.SparkSpec
 import repro.core.{ERMode, Profile, Profiles}
 import repro.pipeline.SparkERPipeline
 import repro.pipeline.SparkERPipeline._
+
+import java.util.concurrent.atomic.AtomicInteger
 
 class EntityMatcherSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
@@ -105,6 +109,41 @@ class EntityMatcherSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(e.getMessage.contains("at most 3") && e.getMessage.contains("4 profiles"), e.getMessage)
     assert(EntityMatcher.scorePairs(cands, profiles, Similarity.Scheme.JaccardTokens, bound = 4)
       .count() == 1)
+  }
+
+  test("with the profile count known, the signatures are read in one job") {
+    val spread = spark.createDataset(spark.sparkContext.parallelize(Seq(
+      Profile(1, 1, Map("name" -> "sony tv")),
+      Profile(2, 1, Map("name" -> "bosch washer")),
+      Profile(3, 2, Map("name" -> "sony tv")),
+      Profile(4, 2, Map("name" -> "bosch dryer"))), 4))
+    val cands = Seq((1L, 3L), (2L, 4L)).toDF("p1", "p2")
+    def jobs(read: => Unit): Int = {
+      val group = "signature-read"
+      val started = new AtomicInteger
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit =
+          if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group))
+            started.incrementAndGet()
+      }
+      val sc = spark.sparkContext
+      sc.addSparkListener(listener)
+      sc.setJobGroup(group, group)
+      try read
+      finally {
+        sc.clearJobGroup()
+        ListenerBusDrain.drain(sc)
+        sc.removeSparkListener(listener)
+      }
+      started.get
+    }
+    val scheme = Similarity.Scheme.JaccardTokens
+    assert(jobs(EntityMatcher.scorePairs(cands, spread, scheme, bound = 4, nProfiles = Some(4L))) == 1)
+    // Without the count, the limit-bounded read runs as an incremental take.
+    assert(jobs(EntityMatcher.scorePairs(cands, spread, scheme)) > 1)
+    val e = intercept[IllegalArgumentException](
+      EntityMatcher.scorePairs(cands, spread, scheme, bound = 3, nProfiles = Some(4L)))
+    assert(e.getMessage.contains("at most 3") && e.getMessage.contains("4 profiles"), e.getMessage)
   }
 
   test("a candidate with an end that is not a profile is dropped") {

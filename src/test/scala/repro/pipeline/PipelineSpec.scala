@@ -147,7 +147,7 @@ class PipelineSpec extends SparkSpec {
       .foreach(df => assert(isCheckpoint(df), df.queryExecution.analyzed))
   }
 
-  test("a blocker call shuffles in three stages: the id check, blocking by key, filtering by pid") {
+  test("a blocker call shuffles in two stages: the id check and the block-size aggregate") {
     val group = "blocker-shuffles"
     val inGroup = mutable.Set.empty[Int]
     val written = mutable.ArrayBuffer.empty[(String, Long)]
@@ -171,7 +171,7 @@ class PipelineSpec extends SparkSpec {
       ListenerBusDrain.drain(sc)
       sc.removeSparkListener(listener)
     }
-    assert(written.size == 3, written.mkString("\n"))
+    assert(written.size == 2, written.mkString("\n"))
   }
 
   test("WEP on an empty edge set gives no candidates or matches and singleton clusters") {
