@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
+import scala.collection.mutable
+
 /** An entity profile: one record from one data source.
   *
   * SparkER is schema-agnostic, so a profile is just an id plus a bag of
@@ -15,8 +17,11 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
   */
 final case class Profile(id: Long, source: Int, attributes: Map[String, String])
 
-/** Conversions between `Dataset[Profile]` and the bag-of-words table every
-  * blocker stage consumes.
+/** Conversions between `Dataset[Profile]` and its bag-of-words views: the
+  * per-attribute token counts that loose-schema generation reads, and the
+  * KV table, which the blocker no longer builds. KV is the DataFrame
+  * reference that the token counts and the blocker's front end are tested
+  * against, and [[repro.debug.Sampler]] reads it.
   *
   * KV schema: `(pid: Long, source: Int, attrKey: String, token: String)` —
   * one row per token occurrence of an attribute value, duplicates kept (an
@@ -37,9 +42,35 @@ object Profiles {
       .toDF("pid", "source", "attrKey", "token")
   }
 
+  /** Occurrences of each token in each qualified attribute's values,
+    * `attrKey → token → count`: the counts [[toKV]]'s rows aggregate to,
+    * read in one job with no shuffle. Each task counts its profiles'
+    * [[attrTokens]] into a local map and returns that map's rows; the
+    * driver merges them. So the driver reads at most one row per distinct
+    * `(attrKey, token)` per partition, bounded by the vocabulary, not by
+    * the data. An attribute with no token has no entry.
+    */
+  def tokenCounts(profiles: Dataset[Profile]): Map[String, Map[String, Long]] = {
+    import profiles.sparkSession.implicits._
+    val partial = profiles
+      .mapPartitions { ps =>
+        val counts = mutable.HashMap.empty[(String, String), Long]
+        ps.foreach(p => attrTokens(p).foreach(t => counts(t) = counts.getOrElse(t, 0L) + 1))
+        counts.iterator.map { case ((attrKey, token), n) => (attrKey, token, n) }
+      }
+      .collect()
+    val merged = mutable.HashMap.empty[String, mutable.HashMap[String, Long]]
+    for ((attrKey, token, n) <- partial) {
+      val tokens = merged.getOrElseUpdate(attrKey, mutable.HashMap.empty)
+      tokens(token) = tokens.getOrElse(token, 0L) + n
+    }
+    merged.iterator.map { case (attrKey, tokens) => attrKey -> tokens.toMap }.toMap
+  }
+
   /** The `(attrKey, token)` pairs of one profile, duplicates kept: the one
-    * place values are tokenized, at [[Tokenizer.DefaultMinLength]]. Both
-    * [[toKV]] and the blocker's per-profile keys ([[FrontEnd]]) read them.
+    * place values are tokenized, at [[Tokenizer.DefaultMinLength]].
+    * [[toKV]], [[tokenCounts]] and the blocker's per-profile keys
+    * ([[FrontEnd]]) read them.
     */
   private[core] def attrTokens(p: Profile): Iterator[(String, String)] =
     p.attributes.iterator.flatMap { case (a, v) =>

@@ -15,10 +15,17 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * partition."
   *
   * Attributes are identified by the qualified key "source::attr", so the
-  * same attribute name in two sources stays distinct. Token-set extraction
-  * runs in Spark; the LSH/closure steps run on the driver — the number of
-  * *attributes* is tiny even when the data is big, which is exactly why
-  * the paper can afford this step.
+  * same attribute name in two sources stays distinct. The LSH/closure
+  * steps run on the driver — the number of *attributes* is tiny even when
+  * the data is big, which is exactly why the paper can afford this step.
+  * Their input is read in one pass over the profiles: the blocker hands
+  * [[clusterTable]] and [[manualClusterTable]] the per-attribute token
+  * counts of `repro.core.Profiles.tokenCounts`, whose keys are the token
+  * sets and whose sums give the entropies. The variants over the KV table
+  * ([[attributeTokenSets]], the KV `clusterTable`, `manualClusterTable`,
+  * [[clustersDF]] and [[manualClustersDF]]) are Spark aggregates over
+  * every token occurrence: the reference the counts path is tested
+  * against, bit for bit.
   *
   * Cluster ids: 0 is the blob partition, real clusters are 1..n, numbered
   * by their lexicographically smallest member for determinism.
@@ -33,6 +40,11 @@ object AttributePartitioner {
   final case class Params(threshold: Double = 0.3)
 
   val BlobCluster = 0
+
+  /** Occurrences of each token in each qualified attribute's values:
+    * `attrKey → token → count`.
+    */
+  type TokenCounts = Map[String, Map[String, Long]]
 
   /** Distinct token set of each qualified attribute's values. */
   def attributeTokenSets(kv: DataFrame): Map[String, Set[String]] = {
@@ -104,8 +116,18 @@ object AttributePartitioner {
   /** Run the full step on profile data and attach entropies. `partition`
     * assigns every attribute of `kv` a cluster.
     */
-  def clusterTable(kv: DataFrame, params: Params = Params()): ClusterTable =
-    withEntropies(kv, partition(attributeTokenSets(kv), params))
+  def clusterTable(kv: DataFrame, params: Params = Params()): ClusterTable = {
+    val parts = partition(attributeTokenSets(kv), params)
+    withEntropies(parts, Entropy.clusterEntropies(kv, parts))
+  }
+
+  /** [[clusterTable]] from token counts, all on the driver: the token sets
+    * are the keys of `counts`, and the entropies their sums per cluster.
+    */
+  def clusterTable(counts: TokenCounts, params: Params): ClusterTable = {
+    val parts = partition(counts.map { case (attrKey, tokens) => attrKey -> tokens.keySet }, params)
+    withEntropies(parts, Entropy.clusterEntropies(counts, parts))
+  }
 
   /** [[clusterTable]] as the `(attrKey, cluster, entropy)` DataFrame
     * [[repro.core.TokenBlocking.looseSchema]] consumes.
@@ -122,7 +144,16 @@ object AttributePartitioner {
   def manualClusterTable(kv: DataFrame, clusters: Map[String, Int]): ClusterTable = {
     import kv.sparkSession.implicits._
     val attrKeys = kv.select("attrKey").distinct().as[String].collect()
-    withEntropies(kv, attrKeys.map(_ -> BlobCluster).toMap ++ clusters)
+    val parts = attrKeys.map(_ -> BlobCluster).toMap ++ clusters
+    withEntropies(parts, Entropy.clusterEntropies(kv, parts))
+  }
+
+  /** [[manualClusterTable]] from token counts, on the driver: the
+    * attributes are the keys of `counts`.
+    */
+  def manualClusterTable(counts: TokenCounts, clusters: Map[String, Int]): ClusterTable = {
+    val parts = counts.keys.map(_ -> BlobCluster).toMap ++ clusters
+    withEntropies(parts, Entropy.clusterEntropies(counts, parts))
   }
 
   /** [[manualClusterTable]] as the same `(attrKey, cluster, entropy)`
@@ -137,9 +168,7 @@ object AttributePartitioner {
     table.toSeq.map { case (attrKey, (c, e)) => (attrKey, c, e) }.toDF("attrKey", "cluster", "entropy")
   }
 
-  /** `clusters` with each cluster's entropy. */
-  private def withEntropies(kv: DataFrame, clusters: Map[String, Int]): ClusterTable = {
-    val ent = Entropy.clusterEntropies(kv, clusters)
+  /** `clusters` with each cluster's entropy; 1.0 for a cluster with no token. */
+  private def withEntropies(clusters: Map[String, Int], ent: Map[Int, Double]): ClusterTable =
     clusters.map { case (attrKey, c) => attrKey -> (c, ent.getOrElse(c, 1.0)) }
-  }
 }

@@ -13,9 +13,13 @@ import repro.matching.{EntityMatcher, Similarity}
   *
   * Materialisation rule: every stage output that is read more than once
   * downstream is computed exactly once, with an eager `localCheckpoint()`.
-  * These are the KV table (built only in the Loose and Manual schema
-  * modes, for the LSH step), the `candidates` and the `matches`. The front
-  * end (token blocking, purging and filtering) shuffles only block sizes:
+  * These are the `candidates` and the `matches`; no schema mode builds the
+  * KV table. Loose-schema generation (Loose and Manual schema modes) reads
+  * [[Profiles.tokenCounts]], one map over the profiles with no shuffle,
+  * whose per-partition `(attrKey, token, count)` rows the driver merges;
+  * the LSH step, the closure and the entropies then run on the driver
+  * over those counts. The front end (token blocking, purging and
+  * filtering) shuffles only block sizes:
   * [[FrontEnd.filtered]] aggregates each profile's distinct blocking keys
   * into block sizes, the driver broadcasts the ranks of the unpurged keys,
   * and a map over the profiles keeps each profile's smallest blocks. That
@@ -127,6 +131,9 @@ object SparkERPipeline {
   /** Blocker (Fig 4): loose schema generation (optional) → token blocking
     * → purging → filtering → meta-blocking → candidate pairs. The input is
     * first checked with [[Profiles.validate]], which also counts it.
+    * Loose schema generation reads [[Profiles.tokenCounts]] in one job; the
+    * driver holds one row per distinct `(attrKey, token)` per profile
+    * partition, a read that no bound checks (README § Scale ceiling).
     * Token blocking, purging and filtering run as [[FrontEnd.filtered]],
     * which fails above [[FrontEnd.DriverKeyBound]] unpurged keys.
     * Every pruning strategy, `NoPruning` included, runs
@@ -140,12 +147,11 @@ object SparkERPipeline {
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession
     val totalProfiles = Profiles.validate(profiles, cfg.mode)
-    // KV is built only for the LSH step, which reads it more than once.
-    lazy val kv = Profiles.toKV(profiles).localCheckpoint()
+    lazy val counts = Profiles.tokenCounts(profiles)
     val clusters = cfg.schemaMode match {
       case SchemaMode.Agnostic => None
-      case SchemaMode.Loose(params) => Some(AttributePartitioner.clusterTable(kv, params))
-      case SchemaMode.Manual(map) => Some(AttributePartitioner.manualClusterTable(kv, map))
+      case SchemaMode.Loose(params) => Some(AttributePartitioner.clusterTable(counts, params))
+      case SchemaMode.Manual(map) => Some(AttributePartitioner.manualClusterTable(counts, map))
     }
     val (filtered, unpurged) = FrontEnd.filtered(profiles, clusters, cfg.minTokenLength,
       totalProfiles, cfg.purgeFactor, cfg.filterRatio)

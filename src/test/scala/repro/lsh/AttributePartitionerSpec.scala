@@ -1,11 +1,16 @@
 package repro.lsh
 
-import repro.SparkSpec
-import repro.core.Profiles
+import org.apache.spark.sql.functions.count
+import org.scalacheck.Gen
+import repro.{Props, SparkSpec}
+import repro.core.{Profile, Profiles, RandomBlocks}
 import repro.data.ERData
-import repro.lsh.AttributePartitioner.{Params, partition}
+import repro.lsh.AttributePartitioner.{ClusterTable, Params, TokenCounts, partition}
 
-class AttributePartitionerSpec extends SparkSpec {
+import java.lang.Double.doubleToRawLongBits
+
+class AttributePartitionerSpec extends SparkSpec with Props {
+  import spark.implicits._
 
   /** Handmade token sets with controlled similarities. */
   private val sets: Map[String, Set[String]] = Map(
@@ -119,5 +124,63 @@ class AttributePartitionerSpec extends SparkSpec {
 
   test("rejects non-positive thresholds") {
     intercept[IllegalArgumentException](partition(sets, Params(threshold = 0.0)))
+  }
+
+  /** Random profiles, each given a `void` attribute that is null, empty or
+    * only separators in every profile that has it, so it has no token; a
+    * manual map of their attributes that also names `3::ghost`, which no
+    * profile has; and an LSH threshold.
+    */
+  private val genCase = for {
+    input <- RandomBlocks.genProfiles
+    voids <- Gen.listOfN(input._1.size, Gen.oneOf(None, Some(null), Some(""), Some(" - ")))
+    ghost <- Gen.choose(0, 3)
+    threshold <- Gen.oneOf(Gen.oneOf(0.1, 0.3, 1.0), Gen.choose(0.05, 1.0))
+  } yield {
+    val withVoid = input._1.zip(voids).map { case (p, v) =>
+      v.fold(p)(value => p.copy(attributes = p.attributes + ("void" -> value)))
+    }
+    (withVoid, input._2.toMap + ("3::ghost" -> ghost), threshold)
+  }
+
+  private def bits(table: ClusterTable) =
+    table.map { case (attrKey, (c, e)) => attrKey -> (c, doubleToRawLongBits(e)) }
+
+  /** The one-pass path over `profiles` in 1, 3 and shuffled partitions
+    * against the KV reference, in both modes.
+    */
+  private def checkAgainstKV(profiles: Seq[Profile], manual: Map[String, Int], threshold: Double): Unit = {
+    val kv = Profiles.toKV(Profiles.fromSeq(spark, profiles)).localCheckpoint()
+    val kvCounts: TokenCounts = kv.groupBy("attrKey", "token").agg(count("*")).as[(String, String, Long)]
+      .collect().groupBy(_._1).map { case (a, rows) => a -> rows.map(r => r._2 -> r._3).toMap }
+    val loose = bits(AttributePartitioner.clusterTable(kv, Params(threshold)))
+    val manualTable = bits(AttributePartitioner.manualClusterTable(kv, manual))
+    assert(!manualTable.keySet.exists(_.endsWith("::void")))
+    // Alone in cluster 3, the absent attribute has no token, so its entropy falls back.
+    if (manual.get("3::ghost").contains(3))
+      assert(manualTable("3::ghost") == (3, doubleToRawLongBits(1.0)))
+    for (ps <- RandomBlocks.profileLayouts(spark, profiles, profiles.size)) {
+      val clue = s"threshold=$threshold partitions=${ps.rdd.getNumPartitions}"
+      val counts = Profiles.tokenCounts(ps)
+      assert(counts == kvCounts, clue)
+      assert(bits(AttributePartitioner.clusterTable(counts, Params(threshold))) == loose, clue)
+      assert(bits(AttributePartitioner.manualClusterTable(counts, manual)) == manualTable, clue)
+    }
+  }
+
+  test("property: the one-pass cluster table equals the KV reference bit for bit") {
+    forAllG(genCase, n = 10) { case (profiles, manual, threshold) =>
+      checkAgainstKV(profiles, manual, threshold)
+    }
+  }
+
+  test("the one-pass cluster table of empty input equals the KV reference") {
+    val manual = Map("1::name" -> 1, "3::ghost" -> 2)
+    checkAgainstKV(Seq.empty, manual, 0.3)
+    val counts = Profiles.tokenCounts(Profiles.fromSeq(spark, Seq.empty[Profile]))
+    assert(counts.isEmpty)
+    assert(AttributePartitioner.clusterTable(counts, Params()).isEmpty)
+    assert(AttributePartitioner.manualClusterTable(counts, manual) == Map(
+      "1::name" -> (1, 1.0), "3::ghost" -> (2, 1.0)))
   }
 }

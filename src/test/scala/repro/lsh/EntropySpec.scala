@@ -2,6 +2,9 @@ package repro.lsh
 
 import repro.SparkSpec
 import repro.core.{Profile, Profiles}
+import repro.data.ERData
+
+import java.lang.Double.doubleToRawLongBits
 
 class EntropySpec extends SparkSpec {
 
@@ -25,6 +28,12 @@ class EntropySpec extends SparkSpec {
 
   test("zero counts are ignored") {
     assert(Entropy.shannon(Seq(5L, 0L, 5L)) == 1.0)
+  }
+
+  test("the sum does not depend on the order of the counts") {
+    val counts = Seq(1L, 3L, 7L, 2L, 9L, 4L, 1L, 12L, 5L, 6L, 2L, 8L)
+    val bits = counts.permutations.take(200).map(c => doubleToRawLongBits(Entropy.shannon(c))).toSet
+    assert(bits.size == 1)
   }
 
   test("skewed distribution has lower entropy than uniform") {
@@ -69,5 +78,23 @@ class EntropySpec extends SparkSpec {
     assert(ent(2) == 1.0)
     assert(math.abs(ent(1) - Entropy.shannon(Seq(8L, 1L)) / Entropy.shannon(Seq(1L, 1L))) < 1e-12)
     assert(ent(1) < ent(2))
+  }
+
+  test("entropies are identical under any shuffle partition count") {
+    val kv = Profiles.toKV(ERData.abtBuy(spark, 1000, 100, 100, 42).profiles).localCheckpoint()
+    val parts = AttributePartitioner.partition(
+      AttributePartitioner.attributeTokenSets(kv), AttributePartitioner.Params(threshold = 0.3))
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def bits(ent: Map[Int, Double]) = ent.map { case (c, e) => c -> doubleToRawLongBits(e) }
+    val byLayout =
+      try Seq(1, 7, 16, 64).map { n =>
+        spark.conf.set(key, n.toLong)
+        n -> bits(Entropy.clusterEntropies(kv, parts))
+      }
+      finally spark.conf.set(key, saved)
+    val (_, first) = byLayout.head
+    assert(first.size > 1)
+    byLayout.foreach { case (n, ent) => assert(ent == first, s"$n partitions") }
   }
 }

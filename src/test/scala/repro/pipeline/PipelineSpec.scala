@@ -147,14 +147,21 @@ class PipelineSpec extends SparkSpec {
       .foreach(df => assert(isCheckpoint(df), df.queryExecution.analyzed))
   }
 
-  test("a blocker call shuffles in two stages: the id check and the block-size aggregate") {
-    val group = "blocker-shuffles"
+  /** The jobs one `NoPruning` blocker call in `schema` mode runs, and the
+    * name and bytes of each of its stages that writes shuffle data, seen by
+    * a listener over a job group.
+    */
+  private def blockerWork(schema: SchemaMode): (Int, Seq[(String, Long)]) = {
+    val group = "blocker-work"
     val inGroup = mutable.Set.empty[Int]
+    var jobs = 0
     val written = mutable.ArrayBuffer.empty[(String, Long)]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = inGroup.synchronized {
-        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group))
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == group)) {
+          jobs += 1
           inGroup ++= e.stageIds
+        }
       }
       override def onStageCompleted(e: SparkListenerStageCompleted): Unit = inGroup.synchronized {
         val bytes = e.stageInfo.taskMetrics.shuffleWriteMetrics.bytesWritten
@@ -165,13 +172,28 @@ class PipelineSpec extends SparkSpec {
     sc.addSparkListener(listener)
     sc.setJobGroup(group, group)
     try SparkERPipeline.blocker(ds.profiles,
-      SparkERConfig(schemaMode = SchemaMode.Agnostic, pruning = PruningStrategy.NoPruning))
+      SparkERConfig(schemaMode = schema, pruning = PruningStrategy.NoPruning))
     finally {
       sc.clearJobGroup()
       ListenerBusDrain.drain(sc)
       sc.removeSparkListener(listener)
     }
-    assert(written.size == 2, written.mkString("\n"))
+    inGroup.synchronized((jobs, written.toSeq))
+  }
+
+  private val looseSchema = SchemaMode.Loose(AttributePartitioner.Params(threshold = 0.3))
+  private val schemaModes =
+    Seq(SchemaMode.Agnostic, looseSchema, SchemaMode.Manual(Experiments.manualNameDescSplit))
+
+  test("a blocker call shuffles in two stages: the id check and the block-size aggregate") {
+    for (schema <- schemaModes) {
+      val (_, written) = blockerWork(schema)
+      assert(written.size == 2, s"$schema\n" + written.mkString("\n"))
+    }
+  }
+
+  test("the LSH read of a Loose blocker call is one job") {
+    assert(blockerWork(looseSchema)._1 == blockerWork(SchemaMode.Agnostic)._1 + 1)
   }
 
   test("WEP on an empty edge set gives no candidates or matches and singleton clusters") {
